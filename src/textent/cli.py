@@ -71,6 +71,14 @@ def _defaults(args: argparse.Namespace, **fallbacks) -> None:
             setattr(args, key, value)
 
 
+def _require(args, *flags: str) -> None:
+    """DataError naming the first of ``flags`` (argument dests) left unset."""
+    run = f"--task {args.task}" + (f" --baseline {args.baseline}" if args.baseline else "")
+    for flag in flags:
+        if getattr(args, flag, None) is None:
+            raise DataError(f"{run} needs --{flag.replace('_', '-')}")
+
+
 def _load_vocab_for_checkpoint(args) -> text.Vocabulary:
     path = getattr(args, "vocab", None) or Path(args.checkpoint) / "vocab.tsv"
     if not Path(path).exists():
@@ -212,19 +220,23 @@ def cmd_evaluate(args) -> int:
                                      bos_aggregation=args.bos_aggregation)
     rows: list[dict]
     if args.task == "retrieval":
+        _require(args, "queries")
         queries = text.read_queries(args.queries)
         if args.baseline == "tfidf":
+            _require(args, "corpus", "vocab")
             corpus = text.read_corpus(args.corpus)
             vocab = text.Vocabulary.load(args.vocab)
             index = evaluation.TfidfIndex(corpus, vocab)
             ranked = [index.rank_query(q.text) for q in queries]
         elif args.baseline == "bos":
+            _require(args, "checkpoint", "corpus")
             params = load_checkpoint(args.checkpoint)
             vocab = _load_vocab_for_checkpoint(args)
             corpus = text.read_corpus(args.corpus)
-            ranked = [evaluation.bos_rank(params, vocab, q.text, corpus,
-                                          eval_cfg.bos_aggregation) for q in queries]
+            bos = evaluation.BosIndex(params, vocab, corpus)
+            ranked = [bos.rank_query(q.text, eval_cfg.bos_aggregation) for q in queries]
         else:
+            _require(args, "checkpoint")
             params = load_checkpoint(args.checkpoint)
             vocab = _load_vocab_for_checkpoint(args)
             ranked = [evaluation.zero_shot_rank(params, vocab, q.text, args.score_scale)
@@ -235,6 +247,7 @@ def cmd_evaluate(args) -> int:
             evaluation.dump_rankings(Path(args.dump_dir) / "rankings.tsv",
                                      queries, ranked, args.top_k_dump)
     elif args.task == "tags":
+        _require(args, "votes")
         votes = text.read_votes(args.votes)
         split = None
         if args.split:
@@ -253,6 +266,7 @@ def cmd_evaluate(args) -> int:
             entities = split["held_entities"]
             tags = votes.tags
         if args.baseline == "tfidf":
+            _require(args, "corpus", "vocab")
             corpus = text.read_corpus(args.corpus)
             vocab = text.Vocabulary.load(args.vocab)
             index = evaluation.TfidfIndex(corpus, vocab)
@@ -263,6 +277,7 @@ def cmd_evaluate(args) -> int:
             rank_score = {t: float(len(order) - i) for i, t in enumerate(order)}
             scores = {e: {t: rank_score.get(t, 0.0) for t in tags} for e in entities}
         else:
+            _require(args, "checkpoint")
             params = load_checkpoint(args.checkpoint)
             vocab = _load_vocab_for_checkpoint(args)
             scores = ft.score_tag_matrix(params, vocab, entities, tags, args.score_scale)

@@ -11,13 +11,16 @@ label = 1 iff votes > threshold.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .encoder import (ENTITY_POSITION, ModelParams, encode_rows, entity_matrix,
                       entity_row, mlm_logits, sentence_row)
@@ -201,9 +204,7 @@ def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str,
     and reads the masked position's logits over the entity block.
     """
     cfg = params.config
-    tokens = tokenize(query, vocab)
-    if not tokens:
-        raise DataError("query is empty after tokenization")
+    tokens = _query_tokens(query, vocab)
     entity_ids = list(vocab.entity_ids)
     if cfg.variant in ("dual", "hybrid"):
         row, segs = sentence_row(tokens, cfg)
@@ -233,105 +234,156 @@ def overlap_oracle_rank(attributes: Mapping[str, Sequence[str]],
 # -- entity-less baselines ---------------------------------------------------------
 
 
+def _corpus_arrays(corpus: Sequence[CorpusExample], size: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sentence lengths and all token ids, checked to lie in [0, size)."""
+    lengths = np.fromiter((len(ex.tokens) for ex in corpus), np.int64, len(corpus))
+    tokens = np.fromiter(chain.from_iterable(ex.tokens for ex in corpus), np.int64,
+                         int(lengths.sum()))
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= size):
+        bad = int(tokens[(tokens < 0) | (tokens >= size)][0])
+        raise DataError(f"corpus token id {bad} outside the vocabulary [0, {size})")
+    return lengths, tokens
+
+
+def _query_tokens(query: str, vocab: Vocabulary) -> list[int]:
+    q_tokens = tokenize(query, vocab)
+    if not q_tokens:
+        raise DataError("query is empty after tokenization")
+    return q_tokens
+
+
+def _check_aggregation(aggregation: str) -> None:
+    if aggregation not in ("max", "mean"):
+        raise DataError("aggregation must be 'max' or 'mean'")
+
+
 class TfidfIndex:
     """Per-entity documents scored by raw term frequency times ln(N/(1+df)).
 
     The idf is clamped at zero so degenerate corpora cannot go negative;
-    query ranking uses cosine over tf-idf vectors.
+    query ranking uses cosine over tf-idf vectors. The index is one sparse
+    [entities, vocabulary] matrix of tf-idf weights with precomputed row
+    norms, so a query is one sparse matrix-vector product.
     """
 
     def __init__(self, corpus: Sequence[CorpusExample], vocab: Vocabulary):
         self.vocab = vocab
-        docs: dict[str, dict[int, int]] = {}
-        for ex in corpus:
-            counts = docs.setdefault(ex.entity_id, {})
-            for t in ex.tokens:
-                counts[t] = counts.get(t, 0) + 1
-        self.entity_ids = sorted(docs)
-        self.term_counts = docs
+        size = len(vocab)
+        lengths, tokens = _corpus_arrays(corpus, size)
+        self.entity_ids = sorted({ex.entity_id for ex in corpus})
         n_docs = len(self.entity_ids)
-        df: dict[int, int] = {}
-        for counts in docs.values():
-            for t in counts:
-                df[t] = df.get(t, 0) + 1
-        self.idf = {t: max(0.0, math.log(n_docs / (1.0 + d))) for t, d in df.items()}
+        self.row_of = {e: i for i, e in enumerate(self.entity_ids)}
+        rows = np.repeat(np.fromiter((self.row_of[ex.entity_id] for ex in corpus),
+                                     np.int64, len(corpus)), lengths)
+        # count (entity, token) pairs by sorting their flat keys: row-major,
+        # so the unique keys are already in CSR order
+        keys, counts = np.unique(rows * size + tokens, return_counts=True)
+        docs, cols = np.divmod(keys, size)
+        indptr = np.zeros(n_docs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(docs, minlength=n_docs), out=indptr[1:])
+        df = np.bincount(cols, minlength=size)
+        # math.log, not np.log: the clamped idf stays bit-identical per token
+        self.idf = np.array([max(0.0, math.log(n_docs / (1.0 + d))) if d else 0.0
+                             for d in df.tolist()])
+        weights = counts * self.idf[cols]
+        self.weights = sparse.csr_matrix((weights, cols, indptr), shape=(n_docs, size))
+        self.norms = np.sqrt(np.bincount(docs, weights=weights ** 2, minlength=n_docs))
 
-    def _tfidf(self, entity_id: str, token: int) -> float:
-        tf = self.term_counts.get(entity_id, {}).get(token, 0)
-        return tf * self.idf.get(token, 0.0)
+    def _weights_of(self, entity_id: str) -> np.ndarray:
+        """Dense tf-idf row of one entity; zeros for an entity with no text."""
+        row = self.row_of.get(entity_id)
+        if row is None:
+            return np.zeros(len(self.idf))
+        return self.weights[row].toarray()[0]
 
     def tag_score(self, entity_id: str, tag: str) -> float:
         """Sum of tf-idf over the tag's tokens; 0 for unseen tags."""
-        return sum(self._tfidf(entity_id, t) for t in tokenize(tag, self.vocab))
+        return self.tag_scores(entity_id, [tag])[tag]
 
     def tag_scores(self, entity_id: str, tags: Sequence[str]) -> dict[str, float]:
-        return {tag: self.tag_score(entity_id, tag) for tag in tags}
+        weights = self._weights_of(entity_id)
+        return {tag: sum(float(weights[t]) for t in tokenize(tag, self.vocab))
+                for tag in tags}
 
     def rank_query(self, query: str) -> RankedList:
-        q_tokens = tokenize(query, self.vocab)
-        if not q_tokens:
-            raise DataError("query is empty after tokenization")
-        q_vec: dict[int, float] = {}
-        for t in q_tokens:
-            q_vec[t] = q_vec.get(t, 0.0) + 1.0
-        for t in q_vec:
-            q_vec[t] *= self.idf.get(t, 0.0)
-        q_norm = math.sqrt(sum(v * v for v in q_vec.values()))
-        scores = []
-        for entity_id in self.entity_ids:
-            counts = self.term_counts[entity_id]
-            dot = sum(q_vec.get(t, 0.0) * c * self.idf.get(t, 0.0)
-                      for t, c in counts.items())
-            d_norm = math.sqrt(sum((c * self.idf.get(t, 0.0)) ** 2
-                                   for t, c in counts.items()))
-            if q_norm == 0.0 or d_norm == 0.0:
-                scores.append(0.0)
-            else:
-                scores.append(dot / (q_norm * d_norm))
-        return rank_items(self.entity_ids, scores)
+        q_tokens = _query_tokens(query, self.vocab)
+        q_vec = np.bincount(q_tokens, minlength=len(self.idf)) * self.idf
+        denom = self.norms * math.sqrt(float(q_vec @ q_vec))
+        dots = self.weights @ q_vec
+        scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+        return rank_items(self.entity_ids, scores.tolist())
 
 
-def bos_rank(params: ModelParams, vocab: Vocabulary, query: str,
-             corpus: Sequence[CorpusExample], aggregation: str = "max",
-             batch_size: int = 64) -> RankedList:
+BOS_BATCH = 64  # sentences per forward pass when the corpus is encoded
+
+
+def _mean_pooled(rows_tokens: Sequence[Sequence[int]], params: ModelParams) -> np.ndarray:
+    """Mean of the non-pad token output vectors, one row per sentence."""
+    cfg = params.config
+    out = []
+    for lo in range(0, len(rows_tokens), BOS_BATCH):
+        chunk = rows_tokens[lo: lo + BOS_BATCH]
+        rows, segs = zip(*(sentence_row(t, cfg) for t in chunk))
+        hidden, mask = encode_rows(list(rows), list(segs), params)
+        summed = (hidden * mask[:, :, None]).sum(axis=1)
+        out.append(summed / mask.sum(axis=1, keepdims=True))
+    return np.concatenate(out, axis=0)
+
+
+class BosIndex:
     """Bag-of-sentences baseline: entities scored without entity embeddings.
 
     Sentence vectors are the mean of all (non-pad) token output vectors;
     score(entity) aggregates cosine(query, sentence) over the entity's
-    sentences by max or mean.
+    sentences by max or mean. The corpus is encoded once, into a
+    unit-normalised [sentences, hidden] matrix whose rows are grouped by
+    entity; a query encodes only itself. The index holds the parameters by
+    reference, so it is stale once they are updated in place.
     """
-    if aggregation not in ("max", "mean"):
-        raise DataError("aggregation must be 'max' or 'mean'")
-    cfg = params.config
 
-    def embed(rows_tokens: Sequence[Sequence[int]]) -> np.ndarray:
-        out = []
-        for lo in range(0, len(rows_tokens), batch_size):
-            chunk = rows_tokens[lo: lo + batch_size]
-            rows, segs = zip(*(sentence_row(t, cfg) for t in chunk))
-            hidden, mask = encode_rows(list(rows), list(segs), params)
-            summed = (hidden * mask[:, :, None]).sum(axis=1)
-            vecs = summed / mask.sum(axis=1, keepdims=True)
-            out.append(vecs)
-        return np.concatenate(out, axis=0)
+    def __init__(self, params: ModelParams, vocab: Vocabulary,
+                 corpus: Sequence[CorpusExample]):
+        self.params = params
+        self.vocab = vocab
+        _corpus_arrays(corpus, params.config.word_vocab_size)
+        by_entity: dict[str, list[list[int]]] = {}
+        for ex in corpus:
+            by_entity.setdefault(ex.entity_id, []).append(ex.tokens)
+        self.entity_ids = sorted(by_entity)
+        # each entity is encoded in its own batches: a sentence's vector does
+        # not depend on which other entities' sentences share its batch
+        blocks = []
+        for entity_id in self.entity_ids:
+            vecs = _mean_pooled(by_entity[entity_id], params)
+            blocks.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+        self.matrix = (np.concatenate(blocks, axis=0) if blocks
+                       else np.zeros((0, params.config.hidden), dtype=np.float32))
+        bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
+        self.spans = list(zip(bounds[:-1], bounds[1:]))
 
-    q_tokens = tokenize(query, vocab)
-    if not q_tokens:
-        raise DataError("query is empty after tokenization")
-    q_vec = embed([q_tokens])[0]
-    q_vec = q_vec / np.linalg.norm(q_vec)
+    def rank_query(self, query: str, aggregation: str = "max") -> RankedList:
+        _check_aggregation(aggregation)
+        q_tokens = _query_tokens(query, self.vocab)
+        q_vec = _mean_pooled([q_tokens], self.params)[0]
+        q_vec = q_vec / np.linalg.norm(q_vec)
+        # one product per entity block: BLAS rounds a row's dot product
+        # differently depending on where the row sits in the matrix
+        reduce = np.max if aggregation == "max" else np.mean
+        scores = [float(reduce(self.matrix[lo:hi] @ q_vec)) for lo, hi in self.spans]
+        return rank_items(self.entity_ids, scores)
 
-    by_entity: dict[str, list[list[int]]] = {}
-    for ex in corpus:
-        by_entity.setdefault(ex.entity_id, []).append(ex.tokens)
-    entity_ids = sorted(by_entity)
-    scores = []
-    for entity_id in entity_ids:
-        vecs = embed(by_entity[entity_id])
-        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        sims = vecs @ q_vec
-        scores.append(float(sims.max() if aggregation == "max" else sims.mean()))
-    return rank_items(entity_ids, scores)
+
+def bos_rank(params: ModelParams, vocab: Vocabulary, query: str,
+             corpus: Sequence[CorpusExample], aggregation: str = "max") -> RankedList:
+    """Rank entities for one query with a freshly built BosIndex.
+
+    This encodes the whole corpus; to rank many queries against one
+    checkpoint, build one BosIndex and call its ``rank_query``.
+    """
+    _check_aggregation(aggregation)
+    _query_tokens(query, vocab)  # reject a bad query before encoding the corpus
+    return BosIndex(params, vocab, corpus).rank_query(query, aggregation)
 
 
 def top_tags_baseline(votes: TagVotes, entities: Sequence[str] | None = None) -> list[str]:
@@ -410,7 +462,6 @@ def evaluate_retrieval(ranked_lists: Sequence[RankedList], queries: Sequence[Que
 
 
 def write_report(path: str | Path, rows: Sequence[Mapping]) -> None:
-    import json
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")

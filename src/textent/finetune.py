@@ -167,10 +167,20 @@ def tag_softmax_loss(scores: Tensor, positive_count: int,
 def cosine_tag_scores(pt, config, input_ids, segment_ids, pad_mask,
                       entity_index: int, score_scale: float) -> Tensor:
     """Dual: scaled cosine between each encoded tag's CLS and the entity."""
+    directions = _tag_directions(pt, config, input_ids, segment_ids, pad_mask)
+    return _cosine_against(pt, directions, entity_index, score_scale)
+
+
+def _tag_directions(pt, config, input_ids, segment_ids, pad_mask) -> Tensor:
+    """Unit-length CLS encodings of the tag rows: dual's entity-free part."""
     hidden, _ = encode_tensors(pt, config, input_ids, segment_ids, pad_mask)
-    cand_n = _normalize_rows(hidden[:, 0], "tag")
+    return _normalize_rows(hidden[:, 0], "tag")
+
+
+def _cosine_against(pt, directions: Tensor, entity_index: int,
+                    score_scale: float) -> Tensor:
     ent_n = _normalize_rows(pt["entity_table"][np.asarray([entity_index])], "entity")
-    return (cand_n @ ent_n.transpose(1, 0)).reshape(input_ids.shape[0]) * score_scale
+    return (directions @ ent_n.transpose(1, 0)).reshape(directions.shape[0]) * score_scale
 
 
 @dataclass
@@ -213,11 +223,20 @@ class MaskLayout:
 def head_tag_scores(pt, config, layout: MaskLayout, entity_index: int) -> Tensor:
     """Hybrid: mean log-probability of each tag's tokens under the
     entity-conditioned masked-word head, read at [CLS] [MASK]*n [SEP]."""
+    return _head_scores_at(pt, layout, _mask_states(pt, config, layout), entity_index)
+
+
+def _mask_states(pt, config, layout: MaskLayout) -> Tensor:
+    """Encoder output at every mask a tag token is read at: hybrid's
+    entity-free part."""
     hidden, _ = encode_tensors(pt, config, layout.input_ids, layout.segment_ids,
                                layout.pad_mask)
     B, L, H = hidden.shape
+    return hidden.reshape(B * L, H)[layout.token_rows * L + layout.token_cols]
+
+
+def _head_scores_at(pt, layout: MaskLayout, h: Tensor, entity_index: int) -> Tensor:
     n_tokens = len(layout.token_ids)
-    h = hidden.reshape(B * L, H)[layout.token_rows * L + layout.token_cols]
     ent = pt["entity_table"][np.full(n_tokens, entity_index)]
     logp = autodiff.log_softmax(
         hybrid_head_tensors(pt, autodiff.concat([h, ent], axis=-1)), axis=-1)
@@ -372,38 +391,76 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
 # -- scoring ---------------------------------------------------------------------
 
 
+@dataclass
+class EncodedTags:
+    """The part of scoring a tag list that no entity changes, encoded once.
+
+    Dual keeps the tags' unit CLS directions, hybrid the encoder output at
+    each tag token's mask, full the posterior log p(entity | tag) over the
+    entity block. ``scores`` adds the per-entity arithmetic on top.
+    """
+
+    variant: str
+    pt: dict[str, Tensor]
+    rows: Tensor
+    layout: MaskLayout | None = None
+
+    @classmethod
+    def build(cls, params: ModelParams, vocab: Vocabulary,
+              tags: Sequence[str]) -> "EncodedTags":
+        cfg = params.config
+        tokens = [_tag_tokens(t, vocab) for t in tags]
+        pt = wrap_tensors(params, trainable=False)
+        if cfg.variant == "full":
+            return cls(cfg.variant, pt,
+                       posterior_log_probs(pt, cfg, *_posterior_rows(tokens, cfg)))
+        if cfg.variant == "hybrid":
+            layout = MaskLayout.for_tags(tokens, cfg)
+            return cls(cfg.variant, pt, _mask_states(pt, cfg, layout), layout)
+        return cls(cfg.variant, pt, _tag_directions(pt, cfg, *_sentence_rows(tokens, cfg)))
+
+    def scores(self, entity_index: int, score_scale: float) -> np.ndarray:
+        if self.variant == "full":
+            return np.exp(self.rows.data[:, entity_index].astype(np.float64))
+        if self.variant == "hybrid":
+            mean_logp = _head_scores_at(self.pt, self.layout, self.rows, entity_index).data
+            return np.exp(mean_logp.astype(np.float64))
+        return _cosine_against(self.pt, self.rows, entity_index, score_scale).data
+
+
 def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
-                       tags: Sequence[str], score_scale: float = 4.0) -> np.ndarray:
+                       tags: Sequence[str], score_scale: float = 4.0, *,
+                       encoded: EncodedTags | None = None) -> np.ndarray:
     """Score every tag for one entity; higher means more relevant.
 
     Full: the posterior p(entity | [CLS] [MASK] [SEP] tag [SEP]) over the
     entity block, in (0, 1). Hybrid: the geometric mean of the tag's token
     probabilities under the masked-word head at [CLS] [MASK]*n [SEP],
-    conditioned on the entity embedding, in (0, 1). Dual: scaled cosine between the entity embedding and
-    the encoded tag. Scores are comparable across tags for one entity;
-    evaluation consumes ranks.
+    conditioned on the entity embedding, in (0, 1). Dual: scaled cosine
+    between the entity embedding and the encoded tag. Scores are comparable
+    across tags for one entity; evaluation consumes ranks.
+
+    ``score_tag_matrix`` passes ``encoded``, its one
+    ``EncodedTags.build(params, vocab, tags)``, for every entity.
     """
-    cfg = params.config
     index = vocab.entity_index(entity_id)  # raises for unknown entities
-    tokens = [_tag_tokens(t, vocab) for t in tags]
-    pt = wrap_tensors(params, trainable=False)
-    if cfg.variant == "full":
-        logp = posterior_log_probs(pt, cfg, *_posterior_rows(tokens, cfg)).data
-        return np.exp(logp[:, index].astype(np.float64))
-    if cfg.variant == "hybrid":
-        mean_logp = head_tag_scores(pt, cfg, MaskLayout.for_tags(tokens, cfg), index).data
-        return np.exp(mean_logp.astype(np.float64))
-    return cosine_tag_scores(pt, cfg, *_sentence_rows(tokens, cfg), index,
-                             score_scale).data
+    if encoded is None:
+        encoded = EncodedTags.build(params, vocab, tags)
+    return encoded.scores(index, score_scale)
 
 
 def score_tag_matrix(params: ModelParams, vocab: Vocabulary,
                      entities: Sequence[str], tags: Sequence[str],
                      score_scale: float = 4.0) -> dict[str, dict[str, float]]:
-    """predict_tag_scores for many entities, keyed entity -> tag -> score."""
+    """predict_tag_scores for many entities, keyed entity -> tag -> score.
+
+    The tags are encoded once for all entities.
+    """
+    encoded = EncodedTags.build(params, vocab, tags)
     out: dict[str, dict[str, float]] = {}
     for entity_id in entities:
-        scores = predict_tag_scores(params, vocab, entity_id, tags, score_scale)
+        scores = predict_tag_scores(params, vocab, entity_id, tags, score_scale,
+                                    encoded=encoded)
         out[entity_id] = {t: float(s) for t, s in zip(tags, scores)}
     return out
 

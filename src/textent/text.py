@@ -312,18 +312,23 @@ class TagVotes:
 # -- file io --------------------------------------------------------------------
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """(1-based line number, parsed object) for every non-blank line."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                rows.append((line_no, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: bad JSON on line {line_no}") from exc
     return rows
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    return [row for _, row in _numbered_jsonl(path)]
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
@@ -347,12 +352,23 @@ def write_corpus(path: str | Path, examples: Iterable[CorpusExample]) -> None:
 
 
 def read_corpus(path: str | Path) -> list[CorpusExample]:
+    """Corpus rows; each needs a string entity_id and non-negative integer
+    token ids (whether an id fits a vocabulary is the consumer's check)."""
     out = []
-    for row in read_jsonl(path):
-        tokens = row.get("tokens")
-        if not tokens:
-            raise DataError(f"{path}: corpus row for {row.get('entity_id')!r} has no tokens")
-        out.append(CorpusExample(row["entity_id"], [int(t) for t in tokens]))
+    for line_no, row in _numbered_jsonl(path):
+        entity_id = row.get("entity_id") if isinstance(row, dict) else None
+        tokens = row.get("tokens") if isinstance(row, dict) else None
+        problem = None
+        if not isinstance(entity_id, str):
+            problem = "corpus row has no string entity_id"
+        elif not isinstance(tokens, list) or not tokens:
+            problem = f"corpus row for {entity_id!r} has no tokens"
+        elif not all(type(t) is int and t >= 0 for t in tokens):
+            problem = (f"corpus row for {entity_id!r} has a token id that is not "
+                       f"a non-negative integer")
+        if problem:
+            raise DataError(f"{path}:{line_no}: {problem}")
+        out.append(CorpusExample(entity_id, tokens))
     return out
 
 

@@ -11,7 +11,8 @@ import pytest
 from textent import finetune, objectives
 from textent.cli import main
 from textent.encoder import load_checkpoint
-from textent.text import read_corpus, read_queries
+from textent.evaluation import bos_rank
+from textent.text import Vocabulary, read_corpus, read_queries
 
 GEN_ARGS = ["--entities", "10", "--attribute-vocab", "30",
             "--attributes-per-entity", "4", "--sentences-per-entity", "8",
@@ -82,6 +83,48 @@ class TestExitCodes:
         code = main(["preprocess", "--input", str(bad),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
+
+
+class TestEvaluateInputs:
+    """Each evaluate path names the flag it is missing instead of failing."""
+
+    @pytest.mark.parametrize("extra, flag", [
+        ([], "--queries"),
+        (["--queries", "{data}/queries.jsonl"], "--checkpoint"),
+        (["--queries", "{data}/queries.jsonl", "--baseline", "bos",
+          "--corpus", "{data}/corpus.jsonl"], "--checkpoint"),
+        (["--queries", "{data}/queries.jsonl", "--baseline", "bos",
+          "--checkpoint", "{root}/ckpt"], "--corpus"),
+        (["--queries", "{data}/queries.jsonl", "--baseline", "tfidf",
+          "--corpus", "{data}/corpus.jsonl"], "--vocab"),
+    ])
+    def test_missing_retrieval_input_is_data_error(self, workdir, capsys, extra, flag):
+        extra = [a.format(data=workdir / "data", root=workdir) for a in extra]
+        assert main(["evaluate", "--task", "retrieval"] + extra) == 2
+        err = capsys.readouterr().err
+        assert f"needs {flag}" in err and "Traceback" not in err
+
+    def test_missing_votes_is_data_error(self, capsys):
+        assert main(["evaluate", "--task", "tags"]) == 2
+        assert "needs --votes" in capsys.readouterr().err
+
+    def test_bos_baseline_matches_library_ranking(self, workdir, tmp_path, capsys):
+        data = workdir / "data"
+        assert main(["evaluate", "--task", "retrieval", "--baseline", "bos",
+                     "--checkpoint", str(workdir / "ckpt"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries.jsonl"),
+                     "--dump-dir", str(tmp_path), "--top-k-dump", "3"]) == 0
+        capsys.readouterr()
+        params = load_checkpoint(workdir / "ckpt")
+        vocab = Vocabulary.load(workdir / "ckpt" / "vocab.tsv")
+        corpus = read_corpus(data / "corpus.jsonl")
+        lines = (tmp_path / "rankings.tsv").read_text().splitlines()[1:]
+        for qi, query in enumerate(read_queries(data / "queries.jsonl")):
+            ranked = bos_rank(params, vocab, query.text, corpus)
+            dumped = [line.split("\t")[2] for line in lines
+                      if line.startswith(f"{qi}\t")]
+            assert dumped == ranked.ids[:3]
 
 
 class TestConfigFile:

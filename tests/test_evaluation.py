@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from textent import evaluation
 from textent.encoder import ModelConfig, encode_rows, init_params, sentence_row
 from textent.errors import DataError
-from textent.evaluation import (EvalConfig, TfidfIndex, average_precision,
+from textent.evaluation import (BosIndex, EvalConfig, TfidfIndex, average_precision,
                                 binarize, bos_rank, evaluate_retrieval,
                                 evaluate_tag_scores, mean_average_precision, mrr,
                                 ndcg_at_k, overlap_oracle_rank, precision_at_k,
                                 rank_items, recall_at_k, relevance, roc_auc,
                                 top_tags_baseline, zero_shot_rank)
-from textent.text import CorpusExample, Query, TagVotes, build_vocab
+from textent.text import CorpusExample, Query, TagVotes, build_vocab, tokenize
 
 
 # -- independent brute-force oracles ---------------------------------------------
@@ -401,3 +402,163 @@ class TestReportBuilders:
         assert by_name[("mrr", None)]["value"] == 1.0
         assert by_name[("mrr", None)]["n"] == 1
         assert by_name[("coverage", None)]["value"] == 0.5
+
+
+# -- the indexed baselines against their earlier per-query implementations ----------
+
+
+class ReferenceTfidf:
+    """The dict-of-counts TF-IDF that the sparse index replaced."""
+
+    def __init__(self, corpus, vocab):
+        self.vocab = vocab
+        docs = {}
+        for ex in corpus:
+            counts = docs.setdefault(ex.entity_id, {})
+            for t in ex.tokens:
+                counts[t] = counts.get(t, 0) + 1
+        self.entity_ids = sorted(docs)
+        self.term_counts = docs
+        df = {}
+        for counts in docs.values():
+            for t in counts:
+                df[t] = df.get(t, 0) + 1
+        n_docs = len(self.entity_ids)
+        self.idf = {t: max(0.0, math.log(n_docs / (1.0 + d))) for t, d in df.items()}
+
+    def tag_score(self, entity_id, tag):
+        counts = self.term_counts.get(entity_id, {})
+        return sum(counts.get(t, 0) * self.idf.get(t, 0.0)
+                   for t in tokenize(tag, self.vocab))
+
+    def rank_query(self, query):
+        q_vec = {}
+        for t in tokenize(query, self.vocab):
+            q_vec[t] = q_vec.get(t, 0.0) + 1.0
+        for t in q_vec:
+            q_vec[t] *= self.idf.get(t, 0.0)
+        q_norm = math.sqrt(sum(v * v for v in q_vec.values()))
+        scores = []
+        for entity_id in self.entity_ids:
+            counts = self.term_counts[entity_id]
+            dot = sum(q_vec.get(t, 0.0) * c * self.idf.get(t, 0.0)
+                      for t, c in counts.items())
+            d_norm = math.sqrt(sum((c * self.idf.get(t, 0.0)) ** 2
+                                   for t, c in counts.items()))
+            scores.append(0.0 if q_norm == 0.0 or d_norm == 0.0
+                          else dot / (q_norm * d_norm))
+        return rank_items(self.entity_ids, scores)
+
+
+def reference_bos_rank(params, vocab, query, corpus, aggregation):
+    """Bag-of-sentences as it was: every entity's sentences encoded per query."""
+    cfg = params.config
+
+    def embed(rows_tokens):
+        out = []
+        for lo in range(0, len(rows_tokens), 64):
+            rows, segs = zip(*(sentence_row(t, cfg) for t in rows_tokens[lo: lo + 64]))
+            hidden, mask = encode_rows(list(rows), list(segs), params)
+            summed = (hidden * mask[:, :, None]).sum(axis=1)
+            out.append(summed / mask.sum(axis=1, keepdims=True))
+        return np.concatenate(out, axis=0)
+
+    q_vec = embed([tokenize(query, vocab)])[0]
+    q_vec = q_vec / np.linalg.norm(q_vec)
+    by_entity = {}
+    for ex in corpus:
+        by_entity.setdefault(ex.entity_id, []).append(ex.tokens)
+    scores = []
+    for entity_id in sorted(by_entity):
+        vecs = embed(by_entity[entity_id])
+        sims = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)) @ q_vec
+        scores.append(float(sims.max() if aggregation == "max" else sims.mean()))
+    return rank_items(sorted(by_entity), scores)
+
+
+def assert_same_ranking(got, want, tolerance=1e-6):
+    assert got.ids == want.ids
+    np.testing.assert_allclose(got.scores, want.scores, rtol=0.0, atol=tolerance)
+
+
+class TestTfidfMatchesReference:
+    def test_query_rankings_and_scores(self, small_world):
+        index = TfidfIndex(small_world.corpus, small_world.vocab)
+        reference = ReferenceTfidf(small_world.corpus, small_world.vocab)
+        queries = [q.text for q in small_world.queries] + ["zzz unseen words"]
+        for query in queries:
+            assert_same_ranking(index.rank_query(query), reference.rank_query(query))
+
+    def test_tag_scores_bit_identical(self, small_world):
+        index = TfidfIndex(small_world.corpus, small_world.vocab)
+        reference = ReferenceTfidf(small_world.corpus, small_world.vocab)
+        tags = small_world.votes.tags
+        tags = tags + [f"{tags[0]} {tags[1]}", "unseen phrase", ""]
+        for entity_id in small_world.entity_ids + ["no-such-entity"]:
+            got = index.tag_scores(entity_id, tags)
+            for tag in tags:
+                want = reference.tag_score(entity_id, tag)
+                assert got[tag] == want and type(got[tag]) is type(want), (entity_id, tag)
+
+    @pytest.mark.parametrize("bad", [-1, 10_000])
+    def test_out_of_vocabulary_ids_rejected(self, small_world, bad):
+        corpus = small_world.corpus[:3] + [CorpusExample("e0000", [5, bad])]
+        with pytest.raises(DataError, match="outside the vocabulary"):
+            TfidfIndex(corpus, small_world.vocab)
+
+
+class TestBosMatchesReference:
+    @pytest.mark.parametrize("aggregation", ["max", "mean"])
+    def test_rankings_and_scores(self, zero_shot_setup, small_world, aggregation):
+        params, vocab = zero_shot_setup["dual"], small_world.vocab
+        index = BosIndex(params, vocab, small_world.corpus)
+        for query in small_world.queries:
+            want = reference_bos_rank(params, vocab, query.text, small_world.corpus,
+                                      aggregation)
+            assert_same_ranking(index.rank_query(query.text, aggregation), want)
+            assert_same_ranking(bos_rank(params, vocab, query.text, small_world.corpus,
+                                         aggregation), want)
+
+    def test_in_place_parameter_update_is_not_served_stale(self, zero_shot_setup,
+                                                           small_world):
+        params = zero_shot_setup["dual"].copy()
+        vocab, corpus = small_world.vocab, small_world.corpus
+        query = small_world.queries[0].text
+        before = bos_rank(params, vocab, query, corpus)
+        params.tensors["layer0.ffn_w1"][:4] += np.float32(0.5)
+        after = bos_rank(params, vocab, query, corpus)
+        assert after.scores != before.scores
+        assert_same_ranking(after, reference_bos_rank(params, vocab, query, corpus, "max"))
+
+    def test_edited_sentence_is_not_served_stale(self, zero_shot_setup, small_world):
+        params, vocab = zero_shot_setup["dual"], small_world.vocab
+        corpus = [CorpusExample(ex.entity_id, list(ex.tokens)) for ex in small_world.corpus]
+        query = small_world.queries[0].text
+        before = bos_rank(params, vocab, query, corpus)
+        corpus[0].tokens[:] = tokenize(query, vocab)  # in place: same list object
+        after = bos_rank(params, vocab, query, corpus)
+        assert dict(zip(after.ids, after.scores))[corpus[0].entity_id] == \
+            pytest.approx(1.0, abs=1e-6)
+        assert after.scores != before.scores
+        assert_same_ranking(after, reference_bos_rank(params, vocab, query, corpus, "max"))
+
+    def test_out_of_vocabulary_ids_rejected(self, zero_shot_setup, small_world):
+        params = zero_shot_setup["dual"]
+        corpus = [CorpusExample("e0000", [5, params.config.word_vocab_size])]
+        with pytest.raises(DataError, match="outside the vocabulary"):
+            BosIndex(params, small_world.vocab, corpus)
+        with pytest.raises(DataError, match="outside the vocabulary"):
+            bos_rank(params, small_world.vocab, small_world.queries[0].text, corpus)
+
+    def test_bad_query_rejected_before_the_corpus_is_encoded(self, zero_shot_setup,
+                                                             small_world, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the corpus was encoded")
+
+        monkeypatch.setattr(evaluation, "encode_rows", refuse)
+        params, vocab = zero_shot_setup["dual"], small_world.vocab
+        with pytest.raises(DataError, match="empty after tokenization"):
+            bos_rank(params, vocab, "", small_world.corpus)
+        with pytest.raises(DataError, match="aggregation"):
+            bos_rank(params, vocab, small_world.queries[0].text, small_world.corpus,
+                     "median")

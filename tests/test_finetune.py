@@ -217,6 +217,21 @@ class TestPredictTagScores:
         np.testing.assert_allclose(got, [pair, single], rtol=1e-4)
 
 
+class TestScoreTagMatrix:
+    """Scoring many entities encodes the tags once; the scores must be the
+    ones each entity gets from a fresh encoding of its own."""
+
+    @pytest.mark.parametrize("variant", ["dual", "hybrid", "full"])
+    def test_matches_per_entity_scores_bit_for_bit(self, variant, trained, small_world):
+        params, vocab = trained[variant], small_world.vocab
+        tags = small_world.votes.tags + ["unseen phrase", ""]
+        matrix = score_tag_matrix(params, vocab, vocab.entity_ids, tags, 3.0)
+        assert list(matrix) == vocab.entity_ids
+        for entity_id in vocab.entity_ids:
+            alone = predict_tag_scores(params, vocab, entity_id, tags, 3.0)
+            assert [matrix[entity_id][t] for t in tags] == alone.tolist(), entity_id
+
+
 class TestFinetuneGradients:
     """Central differences on the hybrid and full fine-tuning losses (dual's
     is checked by acceptance criterion 1)."""

@@ -174,6 +174,20 @@ class TestFileFormats:
         write_corpus(tmp_path / "c.jsonl", examples)
         assert read_corpus(tmp_path / "c.jsonl") == examples
 
+    @pytest.mark.parametrize("row, problem", [
+        ('{"tokens": [5, 6]}', "no string entity_id"),
+        ('{"entity_id": "m2", "tokens": [5, -1]}', "not a non-negative integer"),
+        ('{"entity_id": "m2", "tokens": [5, 6.5]}', "not a non-negative integer"),
+        ('{"entity_id": "m2", "tokens": [5, "6"]}', "not a non-negative integer"),
+        ('{"entity_id": "m2", "tokens": []}', "no tokens"),
+    ])
+    def test_bad_corpus_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"entity_id": "m1", "tokens": [5]}\n\n' + row + "\n")
+        with pytest.raises(DataError, match=problem) as exc:
+            read_corpus(path)
+        assert f"{path}:3:" in str(exc.value)
+
     def test_votes_round_trip(self, tmp_path):
         votes = TagVotes()
         votes.add("m1", "funny", 3)
