@@ -5,7 +5,16 @@ walks the recorded graph in reverse topological order and accumulates
 gradients into the leaves. Elementwise ops follow numpy broadcasting (the
 backward pass sums gradients back down to each operand's shape). ``matmul``
 requires operands of rank >= 2 with either equal batch dimensions or a
-plain 2-D operand.
+plain 2-D operand. An activation of rank > 2 times a 2-D weight (every dense
+layer) runs as one GEMM over the activation flattened to ``[rows,
+features]``, forward and backward: the weight gradient is one product of the
+flattened activation's transpose with the flattened output gradient, not a
+batched product summed over the batch. Products where both operands carry
+batch dimensions (attention) use numpy's batched ``@``. ``matmul`` skips the
+gradient product of an operand that does not require a gradient.
+
+A node's first gradient is stored as a copy and later ones are added in
+place; an embedding gather scatter-adds straight into its table's gradient.
 
 Everything here is dtype-preserving: float32 graphs stay float32, float64
 graphs stay float64. Constants folded into a graph are cast to the dtype of
@@ -147,14 +156,18 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy, never ``g`` itself: add and sub hand one array to both parents.
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -213,15 +226,33 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
+    if a.ndim > 2 and b.ndim == 2:
+        return _dense(a, b)
     out_data = a.data @ b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
+
+
+def _dense(a: Tensor, w: Tensor) -> Tensor:
+    """``a @ w`` for a rank > 2 activation ``a`` and a 2-D weight ``w``, run
+    as one GEMM over ``a`` flattened to ``[rows, features]``."""
+    a2 = a.data.reshape(-1, a.data.shape[-1])
+    out_data = (a2 @ w.data).reshape(a.data.shape[:-1] + w.data.shape[-1:])
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if a.requires_grad:
+            _accum(a, (g2 @ w.data.T).reshape(a.data.shape))
+        if w.requires_grad:
+            _accum(w, a2.T @ g2)
+
+    return _node(out_data, (a, w), backward)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -248,14 +279,25 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
+def _is_basic_index(key) -> bool:
+    """True when ``key`` selects by slices and integers only (a view, with
+    no position selected twice)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, (slice, int, np.integer)) or k is Ellipsis for k in parts)
+
+
 def take(a: Tensor, key) -> Tensor:
-    """Indexing/gather; backward scatter-adds through the same key."""
+    """Indexing/gather; backward scatter-adds into ``a``'s gradient through
+    the same key."""
     out_data = a.data[key]
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
-        _accum(a, buf)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        if _is_basic_index(key):
+            a.grad[key] += g
+        else:
+            np.add.at(a.grad, key, g)
 
     return _node(out_data, (a,), backward)
 
@@ -289,7 +331,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        _accum(a, _restore_axes(np.asarray(g), axis, keepdims, a.data.shape).copy())
+        _accum(a, _restore_axes(np.asarray(g), axis, keepdims, a.data.shape))
 
     return _node(out_data, (a,), backward)
 
@@ -304,7 +346,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def backward(g):
         scaled = np.asarray(g) / count
-        _accum(a, _restore_axes(scaled, axis, keepdims, a.data.shape).copy())
+        _accum(a, _restore_axes(scaled, axis, keepdims, a.data.shape))
 
     return _node(out_data, (a,), backward)
 
@@ -346,8 +388,15 @@ def gelu(a: Tensor) -> Tensor:
     out_data = x * phi
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accum(a, g * (phi + x * pdf))
+        # g * (phi + x * pdf(x)), built in place on one temporary
+        d = x * x
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x
+        d += phi
+        d *= g
+        _accum(a, d)
 
     return _node(out_data, (a,), backward)
 
@@ -400,10 +449,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     out_data = xhat * gain.data + bias.data
 
     def backward(g):
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
-        gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, inv * term)
+        n = x.shape[-1]
+        g2 = g.reshape(-1, n)
+        xhat2 = xhat.reshape(-1, n)
+        gxhat = g2 * xhat2
+        _accum(gain, gxhat.sum(axis=0).reshape(gain.data.shape))
+        _accum(bias, g2.sum(axis=0).reshape(bias.data.shape))
+        if a.requires_grad:
+            # inv * (gx - mean(gx) - xhat * mean(gx * xhat)) with gx = g * gain,
+            # built in place; sum(gx * xhat) is one product of gxhat with the gain
+            gain_vec = gain.data.reshape(n)
+            dot = (gxhat @ gain_vec)[:, None]
+            dot /= n
+            gx = g2 * gain_vec
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= np.multiply(xhat2, dot, out=gxhat)
+            gx *= inv.reshape(-1, 1)
+            _accum(a, gx.reshape(x.shape))
 
     return _node(out_data, (a, gain, bias), backward)

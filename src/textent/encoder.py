@@ -217,7 +217,7 @@ def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
         raise DataError(f"sequence length {L} exceeds max_seq_len {config.max_seq_len}")
     dtype = pt["token_emb"].data.dtype
 
-    x = pt["token_emb"][ids] + pt["pos_emb"][np.arange(L)] + pt["seg_emb"][segs]
+    x = pt["token_emb"][ids] + pt["pos_emb"][:L] + pt["seg_emb"][segs]
     x = autodiff.layer_norm(x, pt["emb_ln_g"], pt["emb_ln_b"])
 
     bias = None

@@ -95,21 +95,26 @@ def adam_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
 
     Mutates ``params`` and ``state`` (exclusive access required) and returns
     them for convenience. A parameter with an all-zero gradient and zero
-    moments is left bit-identical.
+    moments is left bit-identical. Every gradient is checked before anything
+    is mutated: a mismatched shape raises ``DataError`` and a non-finite
+    value raises ``NumericError``. Both name the parameter and leave the
+    parameters and the state as they were.
     """
     if state.lr <= 0:
         raise DataError("learning rate must be positive")
+    updates = [(name, p, g) for name, p in params.items()
+               if (g := grads.get(name)) is not None]
+    for name, p, g in updates:
+        if g.shape != p.shape:
+            raise DataError(f"gradient shape {g.shape} does not match parameter "
+                            f"'{name}' with shape {p.shape}")
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.shape:
-            raise DataError(f"gradient shape {g.shape} does not match parameter "
-                            f"'{name}' with shape {p.shape}")
+    for name, p, g in updates:
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1

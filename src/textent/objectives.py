@@ -34,8 +34,8 @@ from . import autodiff
 from .autodiff import Tensor
 from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode_tensors,
                       entity_row, hybrid_head_tensors, init_params,
-                      mlm_head_tensors, save_checkpoint, sentence_row,
-                      wrap_tensors)
+                      mlm_head_tensors, pad_rows, save_checkpoint,
+                      sentence_row, wrap_tensors)
 from .errors import DataError, NumericError, TrainingDiverged
 from .numerics import AdamState, adam_step
 from .text import CLS, MASK, PAD, SEP, CorpusExample, Vocabulary
@@ -115,7 +115,11 @@ def build_batch(examples: Sequence[CorpusExample], vocab: Vocabulary,
                 config: ModelConfig, rng: np.random.Generator | None = None,
                 word_mask_rate: float = 0.0, entity_mask_rate: float = 0.0,
                 ) -> MaskedBatch:
-    """Pad a batch of corpus examples into the variant's input layout."""
+    """Pad a batch of corpus examples into the variant's input layout.
+
+    A token id outside ``[0, word_vocab_size)`` is a ``DataError`` naming
+    the entity: under ``full`` the ids past the words are entity tokens.
+    """
     if not examples:
         raise DataError("empty batch")
     if rng is None and (word_mask_rate > 0 or entity_mask_rate > 0):
@@ -123,6 +127,11 @@ def build_batch(examples: Sequence[CorpusExample], vocab: Vocabulary,
     rows, segs, positions, labels, ent_idx, ent_masked = [], [], [], [], [], []
     for ex in examples:
         idx = vocab.entity_index(ex.entity_id)
+        if ex.tokens and not (min(ex.tokens) >= 0
+                              and max(ex.tokens) < config.word_vocab_size):
+            bad = next(t for t in ex.tokens if not 0 <= t < config.word_vocab_size)
+            raise DataError(f"entity {ex.entity_id!r}: token id {bad} outside the "
+                            f"word vocabulary [0, {config.word_vocab_size})")
         ent_idx.append(idx)
         if config.variant == "full":
             row, seg = entity_row(config.entity_token_id(idx), ex.tokens, config)
@@ -145,15 +154,7 @@ def build_batch(examples: Sequence[CorpusExample], vocab: Vocabulary,
         segs.append(seg)
         positions.append(np.asarray(pos, dtype=np.int64))
         labels.append(np.asarray(lab, dtype=np.int64))
-    L = max(len(r) for r in rows)
-    B = len(rows)
-    input_ids = np.full((B, L), PAD, dtype=np.int64)
-    segment_ids = np.zeros((B, L), dtype=np.int64)
-    pad_mask = np.zeros((B, L), dtype=bool)
-    for i, (row, seg) in enumerate(zip(rows, segs)):
-        input_ids[i, : len(row)] = row
-        segment_ids[i, : len(seg)] = seg
-        pad_mask[i, : len(row)] = True
+    input_ids, segment_ids, pad_mask = pad_rows(rows, segs)
     return MaskedBatch(input_ids, segment_ids, pad_mask, positions, labels,
                        np.asarray(ent_idx, dtype=np.int64),
                        np.asarray(ent_masked, dtype=bool))
@@ -394,8 +395,8 @@ def pretrain(corpus: Sequence[CorpusExample], vocab: Vocabulary,
     """Shuffled mini-batch training; deterministic for a fixed seed.
 
     Returns the trained parameters and one metrics row per step. Aborts
-    with TrainingDiverged (naming the step and batch entities) if the loss
-    goes non-finite.
+    with TrainingDiverged if the loss goes non-finite (naming the step and
+    batch entities) or a gradient does (naming the step and parameter).
     """
     if not corpus:
         raise DataError("empty corpus")
@@ -429,7 +430,10 @@ def pretrain(corpus: Sequence[CorpusExample], vocab: Vocabulary,
         if not np.isfinite(out.value):
             ids = sorted({ex.entity_id for ex in examples})
             raise TrainingDiverged(f"non-finite loss at step {step}; batch entities: {ids}")
-        adam_step(params.tensors, out.grads, state)
+        try:
+            adam_step(params.tensors, out.grads, state)
+        except NumericError as exc:
+            raise TrainingDiverged(f"step {step}: {exc}") from exc
         metrics.append({"step": step, "loss": out.value,
                         "loss_entity": out.entity_term, "loss_mlm": out.mlm_term})
         if train_config.log_every and step % train_config.log_every == 0:

@@ -37,6 +37,39 @@ def test_matmul_batched_grads():
     _check(fn, params)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 4)])
+@pytest.mark.parametrize("trained", ["x", "w"])
+def test_dense_grads_with_one_operand_trained(shape, trained):
+    data = {"x": _rand(shape, 14), "w": _rand((4, 5), 15)}
+    frozen = "w" if trained == "x" else "x"
+    const = autodiff.constant(data[frozen])
+
+    def fn(pt):
+        operands = {trained: pt[trained], frozen: const}
+        out = autodiff.gelu(operands["x"] @ operands["w"])
+        return (out * out).mean()
+
+    _check(fn, {trained: data[trained]})
+    leaf = autodiff.parameter(data[trained])
+    fn({trained: leaf}).backward()
+    assert const.grad is None and leaf.grad.shape == leaf.data.shape
+
+
+def test_dense_matches_batched_matmul_float32():
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(6, 9, 32)).astype(np.float32)
+    w = rng.normal(size=(32, 48)).astype(np.float32)
+    g = rng.normal(size=(6, 9, 48)).astype(np.float32)
+    xt, wt = autodiff.parameter(x), autodiff.parameter(w)
+    out = xt @ wt
+    out.backward(g)
+    assert out.data.dtype == xt.grad.dtype == wt.grad.dtype == np.float32
+    np.testing.assert_allclose(out.data, np.matmul(x, w), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(xt.grad, np.matmul(g, w.T), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(wt.grad, np.matmul(x.transpose(0, 2, 1), g).sum(axis=0),
+                               rtol=1e-5, atol=1e-4)
+
+
 def test_div_sqrt_exp_log_grads():
     params = {"a": np.abs(_rand((5,), 4)) + 0.5, "b": np.abs(_rand((5,), 5)) + 0.5}
 
@@ -91,6 +124,18 @@ def test_getitem_gather_and_slice_grads():
     _check(fn, params)
 
 
+def test_table_gathered_twice_and_transposed_grads():
+    params = {"table": _rand((7, 4), 17)}
+    ids = np.array([[0, 3, 3], [6, 0, 2]])  # a [batch, seq] gather with repeats
+
+    def fn(pt):
+        rows = pt["table"][ids] + pt["table"][:3]      # token and position tables
+        logits = rows @ pt["table"].transpose(1, 0)    # tied output head
+        return (logits * logits).mean() + rows.sum()
+
+    _check(fn, params)
+
+
 def test_concat_and_reductions_grads():
     params = {"a": _rand((3, 2), 12), "b": _rand((3, 5), 13)}
 
@@ -107,6 +152,20 @@ def test_backward_accumulates_through_shared_nodes():
     z = (y + y).sum()  # y consumed twice
     z.backward()
     np.testing.assert_allclose(x.grad, 4.0 * x.data)
+
+
+@pytest.mark.parametrize("reused_first", [True, False])
+def test_add_parents_keep_their_own_gradients(reused_first):
+    # add hands one array to both parents; a later gradient into one parent
+    # must not reach the other
+    x = autodiff.parameter(np.array([1.0, 2.0]))
+    y = autodiff.parameter(np.array([3.0, 5.0]))
+    a, b = x * 2.0, y * 3.0
+    terms = [(a * 7.0).sum(), (a + b).sum()]
+    (terms[0] + terms[1] if reused_first else terms[1] + terms[0]).backward()
+    np.testing.assert_array_equal(x.grad, [16.0, 16.0])
+    np.testing.assert_array_equal(y.grad, [3.0, 3.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
 
 def test_constants_collect_no_gradient():

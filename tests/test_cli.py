@@ -10,7 +10,7 @@ import pytest
 
 from textent import finetune, objectives
 from textent.cli import main
-from textent.encoder import load_checkpoint
+from textent.encoder import ModelConfig, load_checkpoint
 from textent.evaluation import bos_rank
 from textent.text import Vocabulary, read_corpus, read_queries
 
@@ -83,6 +83,25 @@ class TestExitCodes:
         code = main(["preprocess", "--input", str(bad),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
+
+    def test_token_id_past_word_vocabulary_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        _generate(data)
+        word_vocab = ModelConfig.for_vocab(Vocabulary.load(data / "vocab.tsv"),
+                                           "full").word_vocab_size
+        lines = (data / "corpus.jsonl").read_text().splitlines()
+        row = json.loads(lines[0])
+        row["tokens"][0] = word_vocab  # the first entity token under full
+        lines[0] = json.dumps(row)
+        (data / "corpus.jsonl").write_text("\n".join(lines) + "\n")
+        code = main(["pretrain", "--corpus", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.tsv"), "--variant", "full",
+                     "--seed", "3", "--steps", str(len(lines)),
+                     "--out-dir", str(tmp_path / "out")] + TRAIN_ARGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert row["entity_id"] in err and str(word_vocab) in err
+        assert "Traceback" not in err
 
 
 class TestEvaluateInputs:

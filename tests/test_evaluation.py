@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from textent import evaluation
@@ -97,8 +97,12 @@ class TestRankItems:
     @settings(max_examples=50, deadline=None)
     def test_invariant_under_monotone_transform(self, scores):
         ids = [f"i{k}" for k in range(len(scores))]
+        squashed_scores = [math.atan(s) for s in scores]
+        # atan maps some distinct doubles near +-100 to one value; such a draw
+        # is not a strictly monotone transform of the scores
+        assume(len(set(squashed_scores)) == len(set(scores)))
         base = rank_items(ids, scores)
-        squashed = rank_items(ids, [math.atan(s) for s in scores])
+        squashed = rank_items(ids, squashed_scores)
         assert base.ids == squashed.ids
 
 

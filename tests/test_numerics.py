@@ -160,6 +160,20 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_non_finite_gradient_names_parameter_and_mutates_nothing(self):
+        params = {"a": np.array([1.0, -2.0]), "b": np.array([[0.5, 0.25]])}
+        state = AdamState.for_params(params, lr=0.1)
+        adam_step(params, {"a": np.array([0.3, -0.1]), "b": np.array([[1.0, 2.0]])},
+                  state)
+        snapshot = [{k: v.tobytes() for k, v in d.items()}
+                    for d in (params, state.m, state.v)]
+        with pytest.raises(NumericError, match="'b'"):
+            adam_step(params, {"a": np.array([0.2, 0.4]),
+                               "b": np.array([[np.nan, 1.0]])}, state)
+        assert state.step == 1
+        assert [{k: v.tobytes() for k, v in d.items()}
+                for d in (params, state.m, state.v)] == snapshot
+
     def test_shape_mismatch_names_parameter(self):
         params = {"emb": np.zeros((2, 3))}
         state = AdamState.for_params(params)

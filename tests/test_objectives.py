@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import mixed_examples
+from textent import objectives
 from textent.encoder import (ENTITY_POSITION, ModelConfig, encode, entity_row,
                              init_params, sentence_row)
 from textent.errors import DataError, TrainingDiverged
 from textent.objectives import (MaskedBatch, TrainingConfig, build_batch,
                                 dual_loss, entity_prediction_accuracy, full_loss,
                                 hybrid_loss, mask_tokens, pretrain)
-from textent.text import CLS, MASK, PAD, SEP
+from textent.text import CLS, MASK, PAD, SEP, CorpusExample
 
 
 def exp_normalize(scores):
@@ -231,6 +232,18 @@ class TestHybridLoss:
         assert np.abs(mlm_part[rows]).max() > 0
 
 
+class TestBuildBatch:
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    def test_token_id_outside_word_vocabulary_names_entity(self, small_world,
+                                                           tiny_configs, variant):
+        cfg = tiny_configs[variant]
+        good = small_world.corpus[0]
+        for bad_id in (cfg.word_vocab_size, -1):
+            bad = CorpusExample(good.entity_id, list(good.tokens) + [bad_id])
+            with pytest.raises(DataError, match=f"{good.entity_id!r}.*{bad_id}"):
+                build_batch([good, bad], small_world.vocab, cfg)
+
+
 class TestPretrain:
     def test_loss_improves_over_200_steps(self, small_world):
         vocab = small_world.vocab
@@ -272,6 +285,26 @@ class TestPretrain:
         train = TrainingConfig(batch_size=4, steps=3, seed=0, lr=float("nan"),
                                log_every=0)
         with pytest.raises(TrainingDiverged, match="step"):
+            pretrain(small_world.corpus, vocab, cfg, train)
+
+    def test_nan_gradient_aborts_with_step_and_parameter(self, small_world,
+                                                         monkeypatch):
+        vocab = small_world.vocab
+        cfg = ModelConfig.for_vocab(vocab, "dual", layers=1, heads=2, hidden=16,
+                                    ffn_hidden=32, entity_dim=16)
+        real = objectives.variant_loss
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(out)
+            if len(calls) == 2:
+                out.grads["entity_table"][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(objectives, "variant_loss", poisoned)
+        train = TrainingConfig(batch_size=4, steps=3, seed=0, log_every=0)
+        with pytest.raises(TrainingDiverged, match=r"step 2\b.*'entity_table'"):
             pretrain(small_world.corpus, vocab, cfg, train)
 
     def test_checkpoints_written_at_interval(self, small_world, tmp_path):
