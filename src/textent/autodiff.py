@@ -270,11 +270,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
     out_data = a.data.transpose(axes)
 
     def backward(g):
-        _accum(a, g.transpose(inverse))
+        _accum(a, g.transpose(tuple(np.argsort(axes))))
 
     return _node(out_data, (a,), backward)
 
@@ -444,7 +443,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=var.dtype))
     xhat = (x - mu) * inv
     out_data = xhat * gain.data + bias.data
 

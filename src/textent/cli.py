@@ -136,8 +136,9 @@ def cmd_preprocess(args) -> int:
 
 
 def _model_config_from_args(args, vocab: text.Vocabulary) -> ModelConfig:
-    _defaults(args, layers=2, heads=4, hidden=64, ffn_hidden=256,
-              max_seq_len=64, entity_dim=None)
+    base = ModelConfig()
+    _defaults(args, **{f: getattr(base, f) for f in
+                       ("layers", "heads", "hidden", "ffn_hidden", "max_seq_len")})
     entity_dim = args.entity_dim if args.entity_dim is not None else args.hidden
     return ModelConfig.for_vocab(
         vocab, args.variant, layers=args.layers, heads=args.heads,
@@ -215,7 +216,9 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _defaults(args, threshold=2, bos_aggregation="max", score_scale=4.0, top_k_dump=20)
+    base = evaluation.EvalConfig()
+    _defaults(args, threshold=base.threshold, bos_aggregation=base.bos_aggregation,
+              score_scale=ft.FinetuneConfig().score_scale, top_k_dump=20)
     eval_cfg = evaluation.EvalConfig(threshold=args.threshold,
                                      bos_aggregation=args.bos_aggregation)
     rows: list[dict]
@@ -293,7 +296,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    _defaults(args, k=10, score_scale=4.0)
+    _defaults(args, k=10, score_scale=ft.FinetuneConfig().score_scale)
     params = load_checkpoint(args.checkpoint)
     vocab = _load_vocab_for_checkpoint(args)
     ranked = evaluation.zero_shot_rank(params, vocab, args.query, args.score_scale)

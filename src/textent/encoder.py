@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from . import autodiff
 from .autodiff import Tensor
@@ -356,16 +355,6 @@ def compatibility(entity_index: int, tokens: Sequence[int], params: ModelParams)
     return cosine(embed_entity(entity_index, params), out.cls_vector)
 
 
-def _gelu_np(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * 0.7071067811865476))
-
-
-def _norm_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-12) * gain + bias
-
-
 def mlm_head_tensors(pt: Mapping[str, Tensor], h: Tensor,
                      tokens: slice | None = None) -> Tensor:
     """Tied masked-token head on the graph: transform, then token_emb.T.
@@ -402,10 +391,9 @@ def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
             raise DataError(f"masked position {p} outside sequence of length {L}")
     if not positions:
         return np.zeros((0, params.config.vocab_size), dtype=hidden_states.dtype)
-    t = params.tensors
-    x = _gelu_np(hidden_states[positions] @ t["mlm_dense_w"] + t["mlm_dense_b"])
-    x = _norm_np(x, t["mlm_ln_g"], t["mlm_ln_b"])
-    return x @ t["token_emb"].T + t["mlm_out_b"]
+    pt = {k: autodiff.constant(v) for k, v in params.tensors.items()
+          if k.startswith("mlm_") or k == "token_emb"}
+    return mlm_head_tensors(pt, autodiff.constant(hidden_states[positions])).data
 
 
 def hybrid_mlm_logits(hidden_states: np.ndarray, entity_vec: np.ndarray,
@@ -424,18 +412,10 @@ def hybrid_mlm_logits(hidden_states: np.ndarray, entity_vec: np.ndarray,
     positions = list(positions)
     if not positions:
         return np.zeros((0, cfg.vocab_size), dtype=hidden_states.dtype)
-    t = params.tensors
-    h = hidden_states[positions]
-    joined = np.concatenate([h, np.tile(entity_vec, (len(positions), 1))], axis=1)
-    x = _gelu_np(joined @ t["hyb_dense_w"] + t["hyb_dense_b"])
-    x = _norm_np(x, t["hyb_ln_g"], t["hyb_ln_b"])
-    return x @ t["hyb_out_w"] + t["hyb_out_b"]
-
-
-def classifier_logit(cls_vector: np.ndarray, params: ModelParams) -> float:
-    if "cls_w" not in params.tensors:
-        raise DataError(f"variant {params.config.variant!r} has no binary classifier head")
-    return float(cls_vector @ params.tensors["cls_w"] + params.tensors["cls_b"])
+    joined = np.concatenate([hidden_states[positions],
+                             np.tile(entity_vec, (len(positions), 1))], axis=1)
+    pt = {k: autodiff.constant(v) for k, v in params.tensors.items() if k.startswith("hyb_")}
+    return hybrid_head_tensors(pt, autodiff.constant(joined)).data
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -471,6 +451,9 @@ def load_checkpoint(directory: str | Path) -> ModelParams:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"no checkpoint manifest in {directory}") from exc
+    for key in ("config", "dtype", "tensors"):
+        if key not in manifest:
+            raise DataError(f"{directory / _MANIFEST} has no {key!r}")
     config = ModelConfig(**manifest["config"])
     config.validate()
     code = manifest["dtype"]

@@ -39,9 +39,9 @@ from .autodiff import Tensor
 from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode_tensors,
                       entity_row, hybrid_head_tensors, mlm_head_tensors, pad_rows,
                       sentence_row, wrap_tensors)
-from .errors import DataError
+from .errors import DataError, NumericError, TrainingDiverged
 from .numerics import AdamState, adam_step, value_and_grads
-from .objectives import _normalize_rows
+from .objectives import _flat_gather, _normalize_rows
 from .text import MASK, UNK, TagVotes, Vocabulary, tokenize
 
 log = logging.getLogger(__name__)
@@ -231,8 +231,7 @@ def _mask_states(pt, config, layout: MaskLayout) -> Tensor:
     entity-free part."""
     hidden, _ = encode_tensors(pt, config, layout.input_ids, layout.segment_ids,
                                layout.pad_mask)
-    B, L, H = hidden.shape
-    return hidden.reshape(B * L, H)[layout.token_rows * L + layout.token_cols]
+    return _flat_gather(hidden, layout.token_rows, layout.token_cols)
 
 
 def _head_scores_at(pt, layout: MaskLayout, h: Tensor, entity_index: int) -> Tensor:
@@ -343,9 +342,13 @@ def _finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
             loss_fn = _step_graph(cfg, [_tag_tokens(t, vocab) for t in candidates],
                                   vocab.entity_index(entity_id), len(positives),
                                   np.asarray([w for _, w in positives]), config)
-            loss, grads = value_and_grads(loss_fn, params.tensors)
-            _frozen_entity_grad_zero(params, grads)
-            adam_step(params.tensors, grads, state)
+            try:
+                loss, grads = value_and_grads(loss_fn, params.tensors)
+                _frozen_entity_grad_zero(params, grads)
+                adam_step(params.tensors, grads, state)
+            except NumericError as exc:
+                raise TrainingDiverged(
+                    f"epoch {epoch + 1}, entity {entity_id!r}: {exc}") from exc
             epoch_loss += loss
             steps += 1
         result.metrics.append({"epoch": epoch + 1,
@@ -382,7 +385,11 @@ def finetune_dual(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
 def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
                  vocab: Vocabulary, train_entities: Sequence[str] | None = None,
                  allowed_tags: set[str] | None = None) -> FinetuneResult:
-    """Dispatch to the variant's fine-tuning strategy."""
+    """Dispatch to the variant's fine-tuning strategy.
+
+    A non-finite loss or gradient raises ``TrainingDiverged`` naming the
+    epoch and the entity.
+    """
     if params.config.variant == "full":
         return finetune_full(params, votes, config, vocab, train_entities, allowed_tags)
     return finetune_dual(params, votes, config, vocab, train_entities, allowed_tags)

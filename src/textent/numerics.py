@@ -1,9 +1,10 @@
 """Array-level numeric primitives with explicit contracts.
 
-Holds the exp-normalized softmax, floored cross-entropy and layer
-normalization used throughout the models, the Adam optimizer, and a
-central-difference gradient-check harness. 32-bit floats are the training
-default; gradient checks should be run on 64-bit parameters.
+Holds a checked softmax and layer norm computed by the ``autodiff`` ops
+the models call directly, a floored cross-entropy, the Adam optimizer, the
+one loss-and-gradient path (``value_and_grads``) and a central-difference
+gradient-check harness. 32-bit floats are the training default; gradient
+checks should be run on 64-bit parameters.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
         raise DataError("empty logits")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return autodiff.softmax(autodiff.constant(logits), axis=axis).data
 
 
 def cross_entropy(probs: np.ndarray, target: int) -> float:
@@ -60,9 +59,8 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     x = np.asarray(x)
     if x.shape[-1] < 2:
         raise DataError("layer_norm needs length >= 2")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * np.asarray(gain) + np.asarray(bias)
+    return autodiff.layer_norm(autodiff.constant(x), autodiff.constant(gain),
+                               autodiff.constant(bias), eps).data
 
 
 # -- optimizer ----------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode_tensors,
                       mlm_head_tensors, pad_rows, save_checkpoint,
                       sentence_row, wrap_tensors)
 from .errors import DataError, NumericError, TrainingDiverged
-from .numerics import AdamState, adam_step
+from .numerics import AdamState, adam_step, value_and_grads
 from .text import CLS, MASK, PAD, SEP, CorpusExample, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -168,12 +168,7 @@ class LossOutput:
     value: float
     entity_term: float
     mlm_term: float
-    grads: dict[str, np.ndarray] | None = field(repr=False, default=None)
-
-
-def _collect_grads(pt: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for k, t in pt.items()}
+    grads: dict[str, np.ndarray] = field(repr=False)
 
 
 def _normalize_rows(t: Tensor, what: str) -> Tensor:
@@ -225,6 +220,25 @@ def _word_mask_indices(batch: MaskedBatch) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, cols, labels
 
 
+def _loss_output(params: ModelParams,
+                 graph: Callable[[dict[str, Tensor]], tuple[Tensor | None, float, float]]
+                 ) -> LossOutput:
+    """Value and gradients of one loss, through ``value_and_grads``.
+
+    ``graph`` maps the parameter tensors to (total, entity term, word
+    term). A ``None`` total, which ``full_graph`` returns when no term
+    carries weight, is a loss of 0 with all-zero gradients.
+    """
+    terms = {}
+
+    def loss_fn(pt: dict[str, Tensor]) -> Tensor:
+        total, terms["entity"], terms["mlm"] = graph(pt)
+        return autodiff.constant(0.0) if total is None else total
+
+    value, grads = value_and_grads(loss_fn, params.tensors)
+    return LossOutput(value, terms["entity"], terms["mlm"], grads)
+
+
 def dual_graph(pt: dict[str, Tensor], config: ModelConfig,
                batch: MaskedBatch, score_scale: float) -> Tensor:
     """The dual objective as a live graph over parameter tensors."""
@@ -233,18 +247,15 @@ def dual_graph(pt: dict[str, Tensor], config: ModelConfig,
     return _dual_term(pt, hidden, batch, score_scale)
 
 
-def dual_loss(batch: MaskedBatch, params: ModelParams, score_scale: float = 16.0,
-              compute_grads: bool = True) -> LossOutput:
+def dual_loss(batch: MaskedBatch, params: ModelParams,
+              score_scale: float = 16.0) -> LossOutput:
     """In-batch-negative softmax loss; the candidate set is the batch's
     unique entities, so a batch of one is a free win (loss 0)."""
-    pt = wrap_tensors(params, trainable=compute_grads)
-    loss = dual_graph(pt, params.config, batch, score_scale)
-    grads = None
-    if compute_grads:
-        loss.backward()
-        grads = _collect_grads(pt)
-    value = float(loss.data)
-    return LossOutput(value, entity_term=value, mlm_term=0.0, grads=grads)
+    def graph(pt):
+        loss = dual_graph(pt, params.config, batch, score_scale)
+        return loss, float(loss.data), 0.0
+
+    return _loss_output(params, graph)
 
 
 def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
@@ -283,39 +294,23 @@ def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     return total, entity_term, mlm_term
 
 
-def full_loss(batch: MaskedBatch, params: ModelParams, loss_mix: float = 1.0,
-              compute_grads: bool = True) -> LossOutput:
+def full_loss(batch: MaskedBatch, params: ModelParams,
+              loss_mix: float = 1.0) -> LossOutput:
     """Entity-prediction plus masked-word cross-entropy over the extended
     vocabulary; each term is averaged over its own count and an absent term
     contributes zero."""
-    pt = wrap_tensors(params, trainable=compute_grads)
-    total, entity_term, mlm_term = full_graph(pt, params.config, batch, loss_mix)
-    if total is None:
-        grads = ({k: np.zeros_like(v) for k, v in params.tensors.items()}
-                 if compute_grads else None)
-        return LossOutput(0.0, entity_term, mlm_term, grads)
-    grads = None
-    if compute_grads:
-        total.backward()
-        grads = _collect_grads(pt)
-    return LossOutput(float(total.data), entity_term, mlm_term, grads)
+    return _loss_output(params, lambda pt: full_graph(pt, params.config, batch, loss_mix))
 
 
 def hybrid_loss(batch: MaskedBatch, params: ModelParams, loss_mix: float = 1.0,
-                score_scale: float = 16.0, compute_grads: bool = True) -> LossOutput:
+                score_scale: float = 16.0) -> LossOutput:
     """Dual term plus masked-word cross-entropy through the concat head.
 
     With no masked positions (or loss_mix 0) this equals the dual loss on
     the same rows exactly.
     """
-    pt = wrap_tensors(params, trainable=compute_grads)
-    total, entity_term, mlm_term = hybrid_graph(pt, params.config, batch,
-                                                loss_mix, score_scale)
-    grads = None
-    if compute_grads:
-        total.backward()
-        grads = _collect_grads(pt)
-    return LossOutput(float(total.data), entity_term, mlm_term, grads)
+    return _loss_output(params, lambda pt: hybrid_graph(pt, params.config, batch,
+                                                        loss_mix, score_scale))
 
 
 def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
@@ -338,10 +333,6 @@ def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     return total, entity_term, mlm_term
 
 
-def _wrap_rows(rows: np.ndarray) -> Tensor:
-    return autodiff.constant(rows)
-
-
 def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
                                restrict_to_entities: bool = True) -> float:
     """Fraction of masked entity tokens recovered by the tied MLM head.
@@ -356,7 +347,7 @@ def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
     pt = wrap_tensors(params, trainable=False)
     hidden, _ = encode_tensors(pt, cfg, batch.input_ids, batch.segment_ids,
                                batch.pad_mask)
-    h = _wrap_rows(hidden.data[rows, ENTITY_POSITION])
+    h = autodiff.constant(hidden.data[rows, ENTITY_POSITION])
     logits = mlm_head_tensors(pt, h).data
     truth = np.asarray([cfg.entity_token_id(int(e)) for e in batch.entity_rows[rows]])
     if restrict_to_entities:
@@ -369,15 +360,15 @@ def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
 # -- pretraining loop ----------------------------------------------------------------
 
 
-def variant_loss(batch: MaskedBatch, params: ModelParams, cfg: TrainingConfig,
-                 compute_grads: bool = True) -> LossOutput:
+def variant_loss(batch: MaskedBatch, params: ModelParams,
+                 cfg: TrainingConfig) -> LossOutput:
     v = params.config.variant
     if v == "dual":
-        return dual_loss(batch, params, cfg.score_scale, compute_grads)
+        return dual_loss(batch, params, cfg.score_scale)
     if v == "full":
-        return full_loss(batch, params, cfg.loss_mix, compute_grads)
+        return full_loss(batch, params, cfg.loss_mix)
     if v == "hybrid":
-        return hybrid_loss(batch, params, cfg.loss_mix, cfg.score_scale, compute_grads)
+        return hybrid_loss(batch, params, cfg.loss_mix, cfg.score_scale)
     raise DataError(f"unknown variant {v!r}")
 
 
@@ -426,10 +417,11 @@ def pretrain(corpus: Sequence[CorpusExample], vocab: Vocabulary,
         examples = [corpus[i] for i in take]
         batch = build_batch(examples, vocab, model_config, rng=rng_data,
                             word_mask_rate=word_rate, entity_mask_rate=ent_rate)
-        out = variant_loss(batch, params, train_config)
-        if not np.isfinite(out.value):
+        try:
+            out = variant_loss(batch, params, train_config)
+        except NumericError as exc:
             ids = sorted({ex.entity_id for ex in examples})
-            raise TrainingDiverged(f"non-finite loss at step {step}; batch entities: {ids}")
+            raise TrainingDiverged(f"{exc} at step {step}; batch entities: {ids}") from exc
         try:
             adam_step(params.tensors, out.grads, state)
         except NumericError as exc:

@@ -378,10 +378,28 @@ def write_votes(path: str | Path, votes: TagVotes) -> None:
     write_jsonl(path, rows)
 
 
+def _row_problem(row, **kinds: type) -> str | None:
+    """What is wrong with a JSONL row that needs each field of its type."""
+    if not isinstance(row, dict):
+        return "row is not a JSON object"
+    for key, kind in kinds.items():
+        if key not in row:
+            return f"row has no {key!r}"
+        if type(row[key]) is not kind:
+            return f"{key!r} is {row[key]!r}, not {kind.__name__}"
+    return None
+
+
 def read_votes(path: str | Path) -> TagVotes:
+    """Vote rows; each needs string entity_id and tag and integer votes >= 1."""
     votes = TagVotes()
-    for row in read_jsonl(path):
-        votes.add(row["entity_id"], row["tag"], int(row["votes"]))
+    for line_no, row in _numbered_jsonl(path):
+        problem = _row_problem(row, entity_id=str, tag=str, votes=int)
+        if problem is None and row["votes"] < 1:
+            problem = f"vote count must be >= 1, got {row['votes']}"
+        if problem:
+            raise DataError(f"{path}:{line_no}: {problem}")
+        votes.add(row["entity_id"], row["tag"], row["votes"])
     return votes
 
 
@@ -390,4 +408,11 @@ def write_queries(path: str | Path, queries: Iterable[Query]) -> None:
 
 
 def read_queries(path: str | Path) -> list[Query]:
-    return [Query(row["query"], list(row["relevant_entity_ids"])) for row in read_jsonl(path)]
+    """Query rows; each needs a string query and a list relevant_entity_ids."""
+    queries = []
+    for line_no, row in _numbered_jsonl(path):
+        problem = _row_problem(row, query=str, relevant_entity_ids=list)
+        if problem:
+            raise DataError(f"{path}:{line_no}: {problem}")
+        queries.append(Query(row["query"], list(row["relevant_entity_ids"])))
+    return queries

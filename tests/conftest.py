@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from textent.encoder import ModelConfig
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
@@ -49,3 +50,37 @@ def mixed_examples(world, count, offset=0):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+# -- numpy references for the heads ------------------------------------------------
+#
+# The library computes the heads and the array-level layer norm through the
+# autodiff graph ops. These plain formulas are the independent reference the
+# head tests pin them against.
+
+
+def gelu_ref(x):
+    return 0.5 * x * (1.0 + erf(x * 0.7071067811865476))
+
+
+def layer_norm_ref(x, gain, bias, eps=1e-12):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def mlm_logits_ref(rows, tensors):
+    """Tied masked-token head: dense, GELU, layer norm, then token_emb.T."""
+    t = tensors
+    x = gelu_ref(rows @ t["mlm_dense_w"] + t["mlm_dense_b"])
+    x = layer_norm_ref(x, t["mlm_ln_g"], t["mlm_ln_b"])
+    return x @ t["token_emb"].T + t["mlm_out_b"]
+
+
+def hybrid_mlm_logits_ref(rows, entity_vec, tensors):
+    """Untied head over concat(hidden, entity embedding)."""
+    t = tensors
+    joined = np.concatenate([rows, np.tile(entity_vec, (len(rows), 1))], axis=1)
+    x = gelu_ref(joined @ t["hyb_dense_w"] + t["hyb_dense_b"])
+    x = layer_norm_ref(x, t["hyb_ln_g"], t["hyb_ln_b"])
+    return x @ t["hyb_out_w"] + t["hyb_out_b"]

@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, formats, exit codes, end-to-end smoke."""
 
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -8,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from textent import finetune, objectives
+from textent import evaluation, finetune, objectives
 from textent.cli import main
 from textent.encoder import ModelConfig, load_checkpoint
 from textent.evaluation import bos_rank
@@ -83,6 +84,31 @@ class TestExitCodes:
         code = main(["preprocess", "--input", str(bad),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("task, flag, row, problem", [
+        ("tags", "--votes", {"entity_id": "e0000", "tag": "t", "votes": "many"},
+         "'votes' is 'many'"),
+        ("tags", "--votes", {"entity_id": "e0000", "votes": 3}, "row has no 'tag'"),
+        ("retrieval", "--queries", {"relevant_entity_ids": ["e0000"]},
+         "row has no 'query'"),
+    ])
+    def test_bad_vote_or_query_row_is_data_error(self, tmp_path, capsys, task, flag,
+                                                  row, problem):
+        bad = tmp_path / "rows.jsonl"
+        bad.write_text(json.dumps(row) + "\n")
+        assert main(["evaluate", "--task", task, flag, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1: {problem}" in err and "Traceback" not in err
+
+    def test_manifest_without_config_is_data_error(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["config"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "has no 'config'" in err and "Traceback" not in err
 
     def test_token_id_past_word_vocabulary_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -211,6 +237,48 @@ class TestConfigDefaults:
                      "--out-dir", str(tmp_path / "ft")]) == 0
         want = finetune.FinetuneConfig(epochs=1, seed=5)
         assert [asdict(c) for c in seen] == [asdict(want)]
+
+
+    def test_pretrain_uses_model_config_defaults(self, workdir, tmp_path, monkeypatch):
+        seen = []
+        real = objectives.pretrain
+        monkeypatch.setattr(objectives, "pretrain", lambda *a, **kw: (
+            seen.append(a[2]), real(*a, **kw))[1])
+        data = workdir / "data"
+        assert main(["pretrain", "--corpus", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.tsv"), "--variant", "dual",
+                     "--seed", "3", "--steps", "1", "--batch-size", "4",
+                     "--log-every", "0", "--out-dir", str(tmp_path / "p")]) == 0
+        want = ModelConfig.for_vocab(Vocabulary.load(data / "vocab.tsv"), "dual")
+        assert [asdict(c) for c in seen] == [asdict(want)]
+
+    def test_evaluate_and_retrieve_use_config_defaults(self, workdir, monkeypatch,
+                                                       capsys):
+        seen = {}
+
+        def spy(module, name, arg):
+            """Record positional argument ``arg`` of each call to ``name``."""
+            real = getattr(module, name)
+
+            def wrapped(*a, **kw):
+                seen[name] = a[arg]
+                return real(*a, **kw)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(evaluation, "evaluate_tag_scores", 2)
+        spy(finetune, "score_tag_matrix", 4)
+        spy(evaluation, "zero_shot_rank", 3)
+        data = workdir / "data"
+        assert main(["evaluate", "--task", "tags", "--checkpoint", str(workdir / "ckpt"),
+                     "--votes", str(data / "votes.jsonl")]) == 0
+        query = read_queries(data / "queries.jsonl")[0]
+        assert main(["retrieve", "--checkpoint", str(workdir / "ckpt"),
+                     "--query", query.text]) == 0
+        capsys.readouterr()
+        assert asdict(seen["evaluate_tag_scores"]) == asdict(evaluation.EvalConfig())
+        scale = finetune.FinetuneConfig().score_scale
+        assert seen["score_tag_matrix"] == seen["zero_shot_rank"] == scale
 
 
 class TestRetrieve:

@@ -12,6 +12,8 @@ from textent.encoder import (ENTITY_POSITION, ModelConfig,
 from textent.errors import DataError, NumericError
 from textent.numerics import softmax
 
+from conftest import hybrid_mlm_logits_ref, mlm_logits_ref
+
 TOY = dict(layers=2, heads=2, hidden=16, ffn_hidden=32, max_seq_len=16,
            vocab_size=40, entity_count=4, entity_dim=16)
 
@@ -247,6 +249,32 @@ class TestHybridHead:
         out = encode([1, 5, 2], [0] * 3, params)
         with pytest.raises(DataError, match="shape"):
             hybrid_mlm_logits(out.hidden_states, np.zeros(3), [1], params)
+
+
+class TestHeadsAgainstNumpyReference:
+    """The heads compute through the graph ops; the loss tests read them as
+    oracles, so they are pinned here to the plain numpy formulas."""
+
+    @staticmethod
+    def _randomized(variant):
+        params = toy_params(variant)
+        rng = np.random.default_rng(5)
+        for t in params.tensors.values():
+            t += rng.normal(0.0, 0.3, size=t.shape)
+        return params, rng.normal(size=(6, params.config.hidden))
+
+    def test_mlm_logits(self):
+        params, hidden = self._randomized("full")
+        got = mlm_logits(hidden, [0, 2, 5], params)
+        want = mlm_logits_ref(hidden[[0, 2, 5]], params.tensors)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_hybrid_mlm_logits(self):
+        params, hidden = self._randomized("hybrid")
+        ent = params.tensors["entity_table"][1]
+        got = hybrid_mlm_logits(hidden, ent, [1, 4], params)
+        want = hybrid_mlm_logits_ref(hidden[[1, 4]], ent, params.tensors)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestConfig:

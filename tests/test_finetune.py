@@ -8,7 +8,7 @@ import pytest
 
 from textent.encoder import (ModelConfig, encode, entity_row, hybrid_mlm_logits,
                              init_params, pad_rows, sentence_row)
-from textent.errors import DataError
+from textent.errors import DataError, TrainingDiverged
 from textent.finetune import (FinetuneConfig, MaskLayout, example_weight,
                               finetune_dual, finetune_full, head_tag_graph,
                               posterior_tag_graph, predict_tag_scores, run_finetune,
@@ -137,6 +137,15 @@ class TestFrozenEntityEmbeddings:
         with pytest.raises(DataError):
             finetune_dual(trained["full"], small_world.votes, FinetuneConfig(),
                           small_world.vocab)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("variant", ["full", "dual", "hybrid"])
+    def test_non_finite_loss_names_epoch_and_entity(self, variant, trained, small_world):
+        cfg = FinetuneConfig(epochs=1, seed=4, lr=float("nan"))
+        with pytest.raises(TrainingDiverged,
+                           match=r"epoch 1, entity 'e\d+': non-finite loss"):
+            run_finetune(trained[variant], small_world.votes, cfg, small_world.vocab)
 
 
 class TestOpenVocabulary:

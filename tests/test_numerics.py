@@ -14,6 +14,8 @@ from textent.errors import DataError, NumericError
 from textent.numerics import (AdamState, adam_step, cross_entropy, grad_check,
                               layer_norm, softmax, value_and_grads)
 
+from conftest import layer_norm_ref
+
 
 def exp_normalize_oracle(logits, dps=50):
     """High-precision softmax, independent of the implementation under test."""
@@ -108,6 +110,16 @@ class TestLayerNorm:
     def test_too_short(self):
         with pytest.raises(DataError):
             layer_norm(np.array([1.0]), np.ones(1), np.zeros(1))
+
+    def test_matches_numpy_reference(self):
+        rng = np.random.default_rng(4)
+        x, gain, bias = rng.normal(size=(5, 16)), rng.normal(size=16), rng.normal(size=16)
+        np.testing.assert_allclose(layer_norm(x, gain, bias), layer_norm_ref(x, gain, bias),
+                                   rtol=1e-12)
+
+    def test_constant_integer_input_floored_to_zero(self):
+        out = layer_norm(np.array([3, 3, 3]), np.ones(3), np.zeros(3))
+        np.testing.assert_array_equal(out, np.zeros(3))
 
 
 class TestAdam:

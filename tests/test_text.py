@@ -197,6 +197,23 @@ class TestFileFormats:
         assert loaded.counts == votes.counts
         assert loaded.tags == ["dark", "funny"]
 
+    @pytest.mark.parametrize("reader, row, problem", [
+        (read_votes, '{"entity_id": "m1", "tag": "t", "votes": "many"}', "'votes' is 'many'"),
+        (read_votes, '{"entity_id": "m1", "votes": 2}', "no 'tag'"),
+        (read_votes, '{"entity_id": "m1", "tag": "t", "votes": 0}', "must be >= 1"),
+        (read_queries, '{"relevant_entity_ids": ["m1"]}', "no 'query'"),
+        (read_queries, '["dark", ["m1"]]', "not a JSON object"),
+    ])
+    def test_bad_vote_or_query_row_names_file_and_line(self, tmp_path, reader, row,
+                                                       problem):
+        path = tmp_path / "rows.jsonl"
+        good = ('{"entity_id": "m1", "tag": "t", "votes": 1}' if reader is read_votes
+                else '{"query": "q", "relevant_entity_ids": []}')
+        path.write_text(good + "\n" + row + "\n")
+        with pytest.raises(DataError, match=problem) as exc:
+            reader(path)
+        assert f"{path}:2:" in str(exc.value)
+
     def test_queries_round_trip(self, tmp_path):
         qs = [Query("dark surreal movie", ["m1", "m2"])]
         write_queries(tmp_path / "q.jsonl", qs)
