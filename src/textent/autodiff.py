@@ -5,16 +5,38 @@ walks the recorded graph in reverse topological order and accumulates
 gradients into the leaves. Elementwise ops follow numpy broadcasting (the
 backward pass sums gradients back down to each operand's shape). ``matmul``
 requires operands of rank >= 2 with either equal batch dimensions or a
-plain 2-D operand. An activation of rank > 2 times a 2-D weight (every dense
-layer) runs as one GEMM over the activation flattened to ``[rows,
-features]``, forward and backward: the weight gradient is one product of the
-flattened activation's transpose with the flattened output gradient, not a
-batched product summed over the batch. Products where both operands carry
-batch dimensions (attention) use numpy's batched ``@``. ``matmul`` skips the
-gradient product of an operand that does not require a gradient.
+plain 2-D operand; products where both operands carry batch dimensions use
+numpy's batched ``@``. ``matmul`` skips the gradient product of an operand
+that does not require a gradient, and ``mul``/``div`` skip the product for a
+constant operand.
 
-A node's first gradient is stored as a copy and later ones are added in
-place; an embedding gather scatter-adds straight into its table's gradient.
+Two fused nodes carry the transformer's dense work:
+
+``linear(a, w, b)``
+    ``a @ w + b`` as one GEMM over ``a`` flattened to ``[rows, features]``,
+    with the bias added in place. Its backward returns the input, weight
+    and bias gradients directly: the weight gradient is one product of the
+    flattened input's transpose with the flattened output gradient, and the
+    bias gradient one sum over all leading axes. ``matmul`` of a rank > 2
+    activation with a 2-D weight is a ``linear`` without bias.
+``attention(q, k, v, heads, bias)``
+    Multi-head scaled dot-product attention over ``[batch, seq, hidden]``
+    projections, returning the context and the attention probabilities.
+    Its backward uses the softmax identity
+    ``dS = P * (dP - rowsum(dP * P)) * scale``.
+
+Gradient ownership: a node's first gradient is stored without a copy when
+the backward closure that produced it hands over an array it has just
+allocated and gives to no other node (``_accum(..., owned=True)``); GEMM
+results, elementwise products and any reduction that summed qualify. The
+array must also be C-contiguous with the node's dtype and shape, the layout
+a copy would have: a gradient in another layout would change the rounding
+of the GEMMs that read it. Everything else is copied on arrival: the ``g`` that ``add``/``sub`` pass
+to both parents unchanged, the broadcast views of ``reduce_sum`` and
+``reduce_mean``, and the views of ``g`` that ``reshape``, ``transpose`` and
+``concat`` pass on. Later gradients are added in place, and an embedding
+gather scatter-adds straight into its table's gradient. No two nodes
+therefore ever share a gradient array.
 
 Everything here is dtype-preserving: float32 graphs stay float32, float64
 graphs stay float64. Constants folded into a graph are cast to the dtype of
@@ -152,15 +174,30 @@ def constant(data) -> Tensor:
     return Tensor(np.asarray(data))
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t``'s gradient.
+
+    ``owned`` says that ``g`` was just allocated by the caller and is given
+    to ``t`` alone, so it can become the first gradient without a copy
+    (when it is C-contiguous and already has ``t``'s dtype and shape).
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # A copy, never ``g`` itself: add and sub hand one array to both parents.
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
+        if (owned and type(g) is np.ndarray and g.flags.c_contiguous
+                and g.dtype == t.data.dtype and g.shape == t.data.shape):
+            t.grad = g
+        else:
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
     else:
         t.grad += g
+
+
+def _accum_sum(t: Tensor, g: np.ndarray) -> None:
+    """``_accum`` of ``g`` summed down to ``t``'s shape; owned when it summed."""
+    reduced = _unbroadcast(g, t.data.shape)
+    _accum(t, reduced, owned=reduced is not g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -187,8 +224,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum_sum(a, g)
+        _accum_sum(b, g)
 
     return _node(out_data, (a, b), backward)
 
@@ -197,8 +234,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum_sum(a, g)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -207,8 +245,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -217,8 +257,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                   owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -227,32 +270,90 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
     if a.ndim > 2 and b.ndim == 2:
-        return _dense(a, b)
+        return linear(a, b)
     out_data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                   owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+                   owned=True)
 
     return _node(out_data, (a, b), backward)
 
 
-def _dense(a: Tensor, w: Tensor) -> Tensor:
-    """``a @ w`` for a rank > 2 activation ``a`` and a 2-D weight ``w``, run
-    as one GEMM over ``a`` flattened to ``[rows, features]``."""
+def linear(a: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``a @ w + b`` for an activation ``a`` of rank >= 2, a 2-D weight ``w``
+    and an optional bias vector ``b``, run as one GEMM over ``a`` flattened
+    to ``[rows, features]`` with the bias added in place."""
+    if a.ndim < 2 or w.ndim != 2:
+        raise ValueError("linear needs an activation of rank >= 2 and a 2-D weight")
     a2 = a.data.reshape(-1, a.data.shape[-1])
-    out_data = (a2 @ w.data).reshape(a.data.shape[:-1] + w.data.shape[-1:])
+    y = a2 @ w.data
+    if b is not None:
+        y += b.data
+    out_data = y.reshape(a.data.shape[:-1] + w.data.shape[-1:])
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
-            _accum(a, (g2 @ w.data.T).reshape(a.data.shape))
+            _accum(a, (g2 @ w.data.T).reshape(a.data.shape), owned=True)
         if w.requires_grad:
-            _accum(w, a2.T @ g2)
+            _accum(w, a2.T @ g2, owned=True)
+        if b is not None and b.requires_grad:
+            _accum(b, g2.sum(axis=0), owned=True)
 
-    return _node(out_data, (a, w), backward)
+    parents = (a, w) if b is None else (a, w, b)
+    return _node(out_data, parents, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              bias: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention.
+
+    ``q``, ``k`` and ``v`` are ``[B, L, H]`` projections, split into
+    ``heads`` heads of width ``H / heads``; ``bias`` (broadcast to
+    ``[B, heads, L, L]``, e.g. ``[B, 1, 1, L]`` with -1e9 at padding) is
+    added to the scaled scores. Returns the context ``[B, L, H]`` and the
+    probabilities ``[B, heads, L, L]``.
+    """
+    B, L, H = q.data.shape
+    hd = H // heads
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.data.dtype)
+
+    def split(t):
+        return t.data.reshape(B, L, heads, hd).transpose(0, 2, 1, 3)
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    probs = q4 @ k4.transpose(0, 1, 3, 2)
+    probs *= scale
+    if bias is not None:
+        probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out_data = (probs @ v4).transpose(0, 2, 1, 3).reshape(B, L, H)
+
+    def merge(g4):
+        return np.ascontiguousarray(g4.transpose(0, 2, 1, 3)).reshape(B, L, H)
+
+    def backward(g):
+        dc = np.ascontiguousarray(g.reshape(B, L, heads, hd).transpose(0, 2, 1, 3))
+        if v.requires_grad:
+            _accum(v, merge(np.swapaxes(probs, -1, -2) @ dc), owned=True)
+        ds = dc @ np.swapaxes(v4, -1, -2)
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        if q.requires_grad:
+            _accum(q, merge(ds @ k4), owned=True)
+        if k.requires_grad:
+            _accum(k, merge(np.swapaxes(np.swapaxes(q4, -1, -2) @ ds, -1, -2)),
+                   owned=True)
+
+    return _node(out_data, (q, k, v), backward), probs
 
 
 # -- shape ops -------------------------------------------------------------
@@ -357,7 +458,7 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        _accum(a, g * out_data)
+        _accum(a, g * out_data, owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -366,7 +467,7 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
     def backward(g):
-        _accum(a, g / a.data)
+        _accum(a, g / a.data, owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -375,7 +476,7 @@ def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def backward(g):
-        _accum(a, g * (0.5 / out_data))
+        _accum(a, g * (0.5 / out_data), owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -383,7 +484,10 @@ def sqrt(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    phi = x * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     out_data = x * phi
 
     def backward(g):
@@ -395,7 +499,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= x
         d += phi
         d *= g
-        _accum(a, d)
+        _accum(a, d, owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -405,7 +509,7 @@ def softplus(a: Tensor) -> Tensor:
     out_data = np.logaddexp(np.zeros((), dtype=a.data.dtype), a.data)
 
     def backward(g):
-        _accum(a, g * expit(a.data))
+        _accum(a, g * expit(a.data), owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -417,7 +521,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, out_data * (g - inner))
+        _accum(a, out_data * (g - inner), owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -429,7 +533,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         probs = np.exp(out_data)
-        _accum(a, g - probs * np.asarray(g).sum(axis=axis, keepdims=True))
+        _accum(a, g - probs * np.asarray(g).sum(axis=axis, keepdims=True), owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -442,18 +546,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     """
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # np.var's own arithmetic, reusing x - mu for xhat
+    xhat = x - mu
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=var.dtype))
-    xhat = (x - mu) * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
         n = x.shape[-1]
         g2 = g.reshape(-1, n)
         xhat2 = xhat.reshape(-1, n)
         gxhat = g2 * xhat2
-        _accum(gain, gxhat.sum(axis=0).reshape(gain.data.shape))
-        _accum(bias, g2.sum(axis=0).reshape(bias.data.shape))
+        _accum(gain, gxhat.sum(axis=0).reshape(gain.data.shape), owned=True)
+        _accum(bias, g2.sum(axis=0).reshape(bias.data.shape), owned=True)
         if a.requires_grad:
             # inv * (gx - mean(gx) - xhat * mean(gx * xhat)) with gx = g * gain,
             # built in place; sum(gx * xhat) is one product of gxhat with the gain
@@ -464,6 +572,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             gx -= gx.mean(axis=-1, keepdims=True)
             gx -= np.multiply(xhat2, dot, out=gxhat)
             gx *= inv.reshape(-1, 1)
-            _accum(a, gx.reshape(x.shape))
+            _accum(a, gx.reshape(x.shape), owned=True)
 
     return _node(out_data, (a, gain, bias), backward)

@@ -79,6 +79,24 @@ def _require(args, *flags: str) -> None:
             raise DataError(f"{run} needs --{flag.replace('_', '-')}")
 
 
+def _read_split(path) -> dict:
+    """The ``split.json`` that ``finetune`` writes, as a JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            split = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(split, dict):
+        raise DataError(f"{path} is not a JSON object")
+    return split
+
+
+def _split_list(split: dict, path, key: str) -> list:
+    if not isinstance(split.get(key), list):
+        raise DataError(f"{path} has no {key!r} list")
+    return split[key]
+
+
 def _load_vocab_for_checkpoint(args) -> text.Vocabulary:
     path = getattr(args, "vocab", None) or Path(args.checkpoint) / "vocab.tsv"
     if not Path(path).exists():
@@ -252,21 +270,19 @@ def cmd_evaluate(args) -> int:
     elif args.task == "tags":
         _require(args, "votes")
         votes = text.read_votes(args.votes)
-        split = None
-        if args.split:
-            with open(args.split, encoding="utf-8") as fh:
-                split = json.load(fh)
-        elif args.checkpoint and (Path(args.checkpoint) / "split.json").exists():
-            with open(Path(args.checkpoint) / "split.json", encoding="utf-8") as fh:
-                split = json.load(fh)
+        split_path = args.split
+        if not split_path and args.checkpoint:
+            split_path = Path(args.checkpoint) / "split.json"
+            split_path = split_path if split_path.exists() else None
+        split = _read_split(split_path) if split_path else None
         if split is None:
             entities = votes.entity_ids()
             tags = votes.tags
         elif split.get("protocol") == "open":
             entities = votes.entity_ids()
-            tags = split["held_tags"]
+            tags = _split_list(split, split_path, "held_tags")
         else:
-            entities = split["held_entities"]
+            entities = _split_list(split, split_path, "held_entities")
             tags = votes.tags
         if args.baseline == "tfidf":
             _require(args, "corpus", "vocab")
@@ -276,7 +292,7 @@ def cmd_evaluate(args) -> int:
             scores = {e: index.tag_scores(e, tags) for e in entities}
         elif args.baseline == "toptags":
             order = evaluation.top_tags_baseline(
-                votes, split["train_entities"] if split else None)
+                votes, _split_list(split, split_path, "train_entities") if split else None)
             rank_score = {t: float(len(order) - i) for i, t in enumerate(order)}
             scores = {e: {t: rank_score.get(t, 0.0) for t in tags} for e in entities}
         else:

@@ -21,7 +21,7 @@ per named tensor; loading validates every shape against the config.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -223,29 +223,23 @@ def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
     if pad_mask is not None:
         bias = np.where(pad_mask, 0.0, -1e9).astype(dtype).reshape(B, 1, 1, L)
 
-    nh = config.heads
-    hd = config.hidden // nh
-    scale = 1.0 / np.sqrt(hd)
     attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
         pre = f"layer{i}."
 
-        def _project(name):
-            p = x @ pt[pre + f"attn_{name}_w"] + pt[pre + f"attn_{name}_b"]
-            return p.reshape(B, L, nh, hd).transpose(0, 2, 1, 3)
+        def _linear(inp, w, b):
+            return autodiff.linear(inp, pt[pre + w], pt[pre + b])
 
-        q, k, v = _project("q"), _project("k"), _project("v")
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if bias is not None:
-            scores = scores + autodiff.constant(bias)
-        probs = autodiff.softmax(scores, axis=-1)
+        ctx, probs = autodiff.attention(_linear(x, "attn_q_w", "attn_q_b"),
+                                        _linear(x, "attn_k_w", "attn_k_b"),
+                                        _linear(x, "attn_v_w", "attn_v_b"),
+                                        config.heads, bias)
         if collect_attention:
-            attn_maps.append(probs.data.copy())
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, L, config.hidden)
-        attn_out = ctx @ pt[pre + "attn_o_w"] + pt[pre + "attn_o_b"]
+            attn_maps.append(probs.copy())
+        attn_out = _linear(ctx, "attn_o_w", "attn_o_b")
         x = autodiff.layer_norm(x + attn_out, pt[pre + "attn_ln_g"], pt[pre + "attn_ln_b"])
-        inner = autodiff.gelu(x @ pt[pre + "ffn_w1"] + pt[pre + "ffn_b1"])
-        ffn_out = inner @ pt[pre + "ffn_w2"] + pt[pre + "ffn_b2"]
+        inner = autodiff.gelu(_linear(x, "ffn_w1", "ffn_b1"))
+        ffn_out = _linear(inner, "ffn_w2", "ffn_b2")
         x = autodiff.layer_norm(x + ffn_out, pt[pre + "ffn_ln_g"], pt[pre + "ffn_ln_b"])
     return x, attn_maps
 
@@ -355,13 +349,19 @@ def compatibility(entity_index: int, tokens: Sequence[int], params: ModelParams)
     return cosine(embed_entity(entity_index, params), out.cls_vector)
 
 
+# The tensors each head reads: inference wraps only these.
+_MLM_HEAD = ("mlm_dense_w", "mlm_dense_b", "mlm_ln_g", "mlm_ln_b", "token_emb", "mlm_out_b")
+_HYBRID_HEAD = ("hyb_dense_w", "hyb_dense_b", "hyb_ln_g", "hyb_ln_b", "hyb_out_w",
+                "hyb_out_b")
+
+
 def mlm_head_tensors(pt: Mapping[str, Tensor], h: Tensor,
                      tokens: slice | None = None) -> Tensor:
     """Tied masked-token head on the graph: transform, then token_emb.T.
 
     ``tokens`` limits the logits to a block of the vocabulary.
     """
-    t = autodiff.gelu(h @ pt["mlm_dense_w"] + pt["mlm_dense_b"])
+    t = autodiff.gelu(autodiff.linear(h, pt["mlm_dense_w"], pt["mlm_dense_b"]))
     t = autodiff.layer_norm(t, pt["mlm_ln_g"], pt["mlm_ln_b"])
     if tokens is None:
         return t @ pt["token_emb"].transpose(1, 0) + pt["mlm_out_b"]
@@ -370,9 +370,9 @@ def mlm_head_tensors(pt: Mapping[str, Tensor], h: Tensor,
 
 def hybrid_head_tensors(pt: Mapping[str, Tensor], joined: Tensor) -> Tensor:
     """Untied masked-token head over concat(hidden, entity embedding)."""
-    t = autodiff.gelu(joined @ pt["hyb_dense_w"] + pt["hyb_dense_b"])
+    t = autodiff.gelu(autodiff.linear(joined, pt["hyb_dense_w"], pt["hyb_dense_b"]))
     t = autodiff.layer_norm(t, pt["hyb_ln_g"], pt["hyb_ln_b"])
-    return t @ pt["hyb_out_w"] + pt["hyb_out_b"]
+    return autodiff.linear(t, pt["hyb_out_w"], pt["hyb_out_b"])
 
 
 def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
@@ -391,8 +391,7 @@ def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
             raise DataError(f"masked position {p} outside sequence of length {L}")
     if not positions:
         return np.zeros((0, params.config.vocab_size), dtype=hidden_states.dtype)
-    pt = {k: autodiff.constant(v) for k, v in params.tensors.items()
-          if k.startswith("mlm_") or k == "token_emb"}
+    pt = {k: autodiff.constant(params.tensors[k]) for k in _MLM_HEAD}
     return mlm_head_tensors(pt, autodiff.constant(hidden_states[positions])).data
 
 
@@ -414,7 +413,7 @@ def hybrid_mlm_logits(hidden_states: np.ndarray, entity_vec: np.ndarray,
         return np.zeros((0, cfg.vocab_size), dtype=hidden_states.dtype)
     joined = np.concatenate([hidden_states[positions],
                              np.tile(entity_vec, (len(positions), 1))], axis=1)
-    pt = {k: autodiff.constant(v) for k, v in params.tensors.items() if k.startswith("hyb_")}
+    pt = {k: autodiff.constant(params.tensors[k]) for k in _HYBRID_HEAD}
     return hybrid_head_tensors(pt, autodiff.constant(joined)).data
 
 
@@ -446,15 +445,26 @@ def save_checkpoint(params: ModelParams, directory: str | Path) -> None:
 
 def load_checkpoint(directory: str | Path) -> ModelParams:
     directory = Path(directory)
+    path = directory / _MANIFEST
     try:
-        with open(directory / _MANIFEST, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"no checkpoint manifest in {directory}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path} is not a JSON object")
     for key in ("config", "dtype", "tensors"):
         if key not in manifest:
-            raise DataError(f"{directory / _MANIFEST} has no {key!r}")
-    config = ModelConfig(**manifest["config"])
+            raise DataError(f"{path} has no {key!r}")
+    config_fields = manifest["config"]
+    if not isinstance(config_fields, dict):
+        raise DataError(f"{path}: 'config' is not a JSON object")
+    unknown = sorted(set(config_fields) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise DataError(f"{path}: unknown config keys {unknown}")
+    config = ModelConfig(**config_fields)
     config.validate()
     code = manifest["dtype"]
     shapes = expected_shapes(config)

@@ -115,11 +115,24 @@ def adam_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
     for name, p, g in updates:
         m = state.m[name]
         v = state.v[name]
+        # The expressions in the comments, evaluated in their own order (so the
+        # result is bit-identical) with s1 and s2 as the only temporaries.
+        s1, s2 = np.empty_like(p), np.empty_like(p)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=s1)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(g, g, out=s2)
+        s2 *= 1.0 - state.beta2
+        v += s2
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=s1)
+        s1 *= state.lr
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p -= s1
     return params, state
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from textent import autodiff
 from textent.encoder import ModelConfig
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
 
@@ -84,3 +85,67 @@ def hybrid_mlm_logits_ref(rows, entity_vec, tensors):
     x = gelu_ref(joined @ t["hyb_dense_w"] + t["hyb_dense_b"])
     x = layer_norm_ref(x, t["hyb_ln_g"], t["hyb_ln_b"])
     return x @ t["hyb_out_w"] + t["hyb_out_b"]
+
+
+# -- the composed graph the fused nodes replace ------------------------------------
+#
+# The encoder and heads run ``autodiff.linear`` and ``autodiff.attention``.
+# These chains build the same model from the elementary ops (matmul, bias
+# add, reshape, transpose, scale, mask add, softmax), in the same order;
+# ``tests/test_encoder.py`` pins the fused graph to them bit for bit.
+
+
+def composed_linear(x, w, b):
+    return x @ w + b
+
+
+def composed_attention(q, k, v, heads, bias):
+    B, L, H = q.shape
+    hd = H // heads
+
+    def split(t):
+        return t.reshape(B, L, heads, hd).transpose(0, 2, 1, 3)
+
+    scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
+    if bias is not None:
+        scores = scores + autodiff.constant(bias)
+    probs = autodiff.softmax(scores, axis=-1)
+    ctx = (probs @ split(v)).transpose(0, 2, 1, 3).reshape(B, L, H)
+    return ctx, probs.data
+
+
+def encode_tensors_composed(pt, config, input_ids, segment_ids, pad_mask=None,
+                            collect_attention=False):
+    """``encoder.encode_tensors`` with every fused node replaced by its chain."""
+    B, L = np.shape(input_ids)
+    x = pt["token_emb"][input_ids] + pt["pos_emb"][:L] + pt["seg_emb"][segment_ids]
+    x = autodiff.layer_norm(x, pt["emb_ln_g"], pt["emb_ln_b"])
+    bias = None
+    if pad_mask is not None:
+        bias = np.where(pad_mask, 0.0, -1e9).astype(x.dtype).reshape(B, 1, 1, L)
+    maps = []
+    for i in range(config.layers):
+        p = {k[len(f"layer{i}."):]: t for k, t in pt.items() if k.startswith(f"layer{i}.")}
+        q, k, v = (composed_linear(x, p[f"attn_{n}_w"], p[f"attn_{n}_b"]) for n in "qkv")
+        ctx, probs = composed_attention(q, k, v, config.heads, bias)
+        maps.append(probs.copy())
+        attn_out = composed_linear(ctx, p["attn_o_w"], p["attn_o_b"])
+        x = autodiff.layer_norm(x + attn_out, p["attn_ln_g"], p["attn_ln_b"])
+        inner = autodiff.gelu(composed_linear(x, p["ffn_w1"], p["ffn_b1"]))
+        ffn_out = composed_linear(inner, p["ffn_w2"], p["ffn_b2"])
+        x = autodiff.layer_norm(x + ffn_out, p["ffn_ln_g"], p["ffn_ln_b"])
+    return x, maps if collect_attention else []
+
+
+def mlm_head_composed(pt, h, tokens=None):
+    t = autodiff.gelu(composed_linear(h, pt["mlm_dense_w"], pt["mlm_dense_b"]))
+    t = autodiff.layer_norm(t, pt["mlm_ln_g"], pt["mlm_ln_b"])
+    if tokens is None:
+        return t @ pt["token_emb"].transpose(1, 0) + pt["mlm_out_b"]
+    return t @ pt["token_emb"][tokens].transpose(1, 0) + pt["mlm_out_b"][tokens]
+
+
+def hybrid_head_composed(pt, joined):
+    t = autodiff.gelu(composed_linear(joined, pt["hyb_dense_w"], pt["hyb_dense_b"]))
+    t = autodiff.layer_norm(t, pt["hyb_ln_g"], pt["hyb_ln_b"])
+    return composed_linear(t, pt["hyb_out_w"], pt["hyb_out_b"])

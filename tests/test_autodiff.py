@@ -70,6 +70,88 @@ def test_dense_matches_batched_matmul_float32():
                                rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4), (2, 2, 3, 4)])
+@pytest.mark.parametrize("bias, frozen", [(True, None), (True, "x"), (True, "w"),
+                                          (True, "b"), (False, None), (False, "x"),
+                                          (False, "w")])
+def test_linear_grads(shape, bias, frozen):
+    data = {"x": _rand(shape, 20), "w": _rand((4, 3), 21), "b": _rand((3,), 22)}
+    if not bias:
+        del data["b"]
+    consts = {frozen: autodiff.constant(data.pop(frozen))} if frozen else {}
+
+    def fn(pt):
+        t = {**pt, **consts}
+        out = autodiff.linear(t["x"], t["w"], t.get("b"))
+        return (autodiff.gelu(out) * out).mean()
+
+    _check(fn, data)
+    leaves = {k: autodiff.parameter(v) for k, v in data.items()}
+    fn(leaves).backward()
+    for name, leaf in leaves.items():
+        assert leaf.grad.shape == leaf.data.shape, name
+    assert all(c.grad is None for c in consts.values())
+
+
+def test_linear_matches_bias_add_float32():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(4, 7, 16)).astype(np.float32)
+    w = rng.normal(size=(16, 8)).astype(np.float32)
+    b = rng.normal(size=(8,)).astype(np.float32)
+    g = rng.normal(size=(4, 7, 8)).astype(np.float32)
+    leaves = [autodiff.parameter(a) for a in (x, w, b)]
+    out = autodiff.linear(*leaves)
+    out.backward(g)
+    np.testing.assert_array_equal(out.data, (x.reshape(-1, 16) @ w + b).reshape(4, 7, 8))
+    np.testing.assert_array_equal(leaves[2].grad, g.sum(axis=(0, 1)))
+    assert all(t.grad.dtype == np.float32 for t in leaves)
+
+
+def _pad_bias(B, L, dtype=np.float64):
+    mask = np.ones((B, L), dtype=bool)
+    mask[0, -2:] = False
+    mask[-1, -1] = False
+    return np.where(mask, 0.0, -1e9).astype(dtype).reshape(B, 1, 1, L)
+
+
+@pytest.mark.parametrize("padded", [True, False])
+def test_attention_grads(padded):
+    B, L, H, heads = 2, 5, 6, 3
+    params = {n: _rand((B, L, H), 30 + i, 0.7) for i, n in enumerate("qkv")}
+    bias = _pad_bias(B, L) if padded else None
+    cot = _rand((B, L, H), 33)
+
+    def fn(pt):
+        ctx, _ = autodiff.attention(pt["q"], pt["k"], pt["v"], heads, bias)
+        return (ctx * autodiff.constant(cot)).sum() + (ctx * ctx).mean()
+
+    _check(fn, params)
+
+
+@pytest.mark.parametrize("padded", [True, False])
+def test_attention_grads_with_q_k_v_drawn_from_one_x(padded):
+    B, L, H, heads = 2, 4, 8, 2
+    params = {"x": _rand((B, L, H), 34), "w": _rand((H, H), 35, 0.5)}
+    bias = _pad_bias(B, L) if padded else None
+
+    def fn(pt):
+        x = pt["x"]
+        ctx, _ = autodiff.attention(x, autodiff.linear(x, pt["w"]), x, heads, bias)
+        return (ctx * ctx).sum()
+
+    _check(fn, params)
+
+
+def test_attention_probabilities_and_padding():
+    B, L, H, heads = 2, 5, 6, 3
+    q, k, v = (autodiff.constant(_rand((B, L, H), 40 + i)) for i in range(3))
+    ctx, probs = autodiff.attention(q, k, v, heads, _pad_bias(B, L))
+    assert ctx.shape == (B, L, H) and probs.shape == (B, heads, L, L)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
+    assert np.all(probs[0, :, :, -2:] == 0.0) and np.all(probs[-1, :, :, -1] == 0.0)
+    assert not ctx.requires_grad
+
+
 def test_div_sqrt_exp_log_grads():
     params = {"a": np.abs(_rand((5,), 4)) + 0.5, "b": np.abs(_rand((5,), 5)) + 0.5}
 
@@ -166,6 +248,25 @@ def test_add_parents_keep_their_own_gradients(reused_first):
     np.testing.assert_array_equal(x.grad, [16.0, 16.0])
     np.testing.assert_array_equal(y.grad, [3.0, 3.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_owned_first_gradient_takes_a_later_branch():
+    # w's first gradient is the GEMM result the first linear hands over; the
+    # second branch then adds into that array in place
+    rng = np.random.default_rng(50)
+    x = autodiff.parameter(rng.normal(size=(3, 4)))
+    w = autodiff.parameter(rng.normal(size=(4, 5)))
+    y1 = autodiff.linear(x, w)
+    y2 = autodiff.linear(autodiff.exp(x), w)
+    ((y1 * y1).sum() + y2.sum()).backward()
+    ones = np.ones((3, 5))
+    g1 = 2.0 * y1.data
+    np.testing.assert_allclose(w.grad, x.data.T @ g1 + np.exp(x.data).T @ ones)
+    np.testing.assert_allclose(x.grad, g1 @ w.data.T + np.exp(x.data) * (ones @ w.data.T))
+    # the nodes on the way kept their own gradients
+    np.testing.assert_array_equal(y2.grad, ones)
+    np.testing.assert_allclose(y1.grad, g1)
+    assert not np.shares_memory(w.grad, x.grad)
 
 
 def test_constants_collect_no_gradient():

@@ -110,6 +110,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "has no 'config'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("damage, problem", [
+        (lambda m: "{not json", "is not valid JSON"),
+        (lambda m: {**m, "config": {**m["config"], "dropout": 0.1}},
+         "unknown config keys ['dropout']"),
+    ], ids=["not-json", "unknown-config-key"])
+    def test_bad_manifest_is_data_error(self, workdir, tmp_path, capsys, damage,
+                                        problem):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        damaged = damage(manifest)
+        (ckpt / "manifest.json").write_text(
+            damaged if isinstance(damaged, str) else json.dumps(damaged))
+        assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'manifest.json'}" in err and problem in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("split, baseline, problem", [
+        ("{not json", "toptags", "is not valid JSON"),
+        ({"protocol": "open", "train_tags": []}, "toptags", "has no 'held_tags' list"),
+        ({"protocol": "closed", "train_entities": []}, "toptags",
+         "has no 'held_entities' list"),
+        ({"protocol": "closed", "held_entities": ["e0000"]}, "toptags",
+         "has no 'train_entities' list"),
+    ], ids=["not-json", "no-held-tags", "no-held-entities", "no-train-entities"])
+    def test_bad_split_is_data_error(self, workdir, tmp_path, capsys, split, baseline,
+                                     problem):
+        path = tmp_path / "split.json"
+        path.write_text(split if isinstance(split, str) else json.dumps(split))
+        assert main(["evaluate", "--task", "tags", "--baseline", baseline,
+                     "--votes", str(workdir / "data" / "votes.jsonl"),
+                     "--split", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} " in err and problem in err and "Traceback" not in err
+
     def test_token_id_past_word_vocabulary_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         _generate(data)

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from textent import objectives
 from textent.encoder import (ENTITY_POSITION, ModelConfig,
                              compatibility, cosine, embed_entity, encode,
-                             encode_rows, entity_matrix, entity_row,
+                             encode_rows, encode_tensors, entity_matrix, entity_row,
                              expected_shapes, hybrid_mlm_logits, init_params,
                              load_checkpoint, mlm_logits, save_checkpoint,
-                             sentence_row)
+                             sentence_row, wrap_tensors)
 from textent.errors import DataError, NumericError
-from textent.numerics import softmax
+from textent.numerics import softmax, value_and_grads
+from textent.objectives import TrainingConfig, build_batch, variant_loss
 
-from conftest import hybrid_mlm_logits_ref, mlm_logits_ref
+from conftest import (encode_tensors_composed, hybrid_head_composed,
+                      hybrid_mlm_logits_ref, mixed_examples, mlm_head_composed,
+                      mlm_logits_ref)
 
 TOY = dict(layers=2, heads=2, hidden=16, ffn_hidden=32, max_seq_len=16,
            vocab_size=40, entity_count=4, entity_dim=16)
@@ -339,3 +343,91 @@ class TestCheckpoints:
         (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="shape"):
             load_checkpoint(tmp_path / "ckpt")
+
+
+class TestFusedNodesMatchComposedChain:
+    """``linear`` and ``attention`` change no bits: the forward pass, the
+    attention maps, the loss and every parameter gradient equal the
+    composed chain of elementary ops at float32, for every variant."""
+
+    @staticmethod
+    def _batch(world, config, rows):
+        examples = mixed_examples(world, rows)
+        return build_batch(examples, world.vocab, config, rng=np.random.default_rng(4),
+                           word_mask_rate=0.3, entity_mask_rate=0.6)
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_hidden_states_and_attention(self, small_world, tiny_configs, variant, rows):
+        cfg = tiny_configs[variant]
+        params = init_params(cfg, seed=7)
+        batch = self._batch(small_world, cfg, rows)
+        args = (cfg, batch.input_ids, batch.segment_ids, batch.pad_mask, True)
+        fused, fused_maps = encode_tensors(wrap_tensors(params, False), *args)
+        chain, chain_maps = encode_tensors_composed(wrap_tensors(params, False), *args)
+        assert fused.data.dtype == np.float32
+        np.testing.assert_array_equal(fused.data, chain.data)
+        for got, want in zip(fused_maps, chain_maps, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_loss_and_every_gradient(self, small_world, tiny_configs, monkeypatch,
+                                     variant, rows):
+        cfg = tiny_configs[variant]
+        params = init_params(cfg, seed=7)
+        batch = self._batch(small_world, cfg, rows)
+        train = TrainingConfig(score_scale=16.0, loss_mix=0.7)
+        fused = variant_loss(batch, params, train)
+        monkeypatch.setattr(objectives, "encode_tensors", encode_tensors_composed)
+        monkeypatch.setattr(objectives, "mlm_head_tensors", mlm_head_composed)
+        monkeypatch.setattr(objectives, "hybrid_head_tensors", hybrid_head_composed)
+        chain = variant_loss(batch, params, train)
+        assert fused.value == chain.value
+        assert set(fused.grads) == set(params.tensors)
+        for name, grad in fused.grads.items():
+            assert grad.dtype == np.float32, name
+            np.testing.assert_array_equal(grad, chain.grads[name], err_msg=name)
+
+
+class TestGradientOwnership:
+    """Gradients are handed over without copies, yet no two share memory."""
+
+    @staticmethod
+    def _graph(variant, config, batch):
+        if variant == "dual":
+            return lambda pt: objectives.dual_graph(pt, config, batch, 16.0)
+        if variant == "full":
+            return lambda pt: objectives.full_graph(pt, config, batch, 0.7)[0]
+        return lambda pt: objectives.hybrid_graph(pt, config, batch, 0.7, 16.0)[0]
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    def test_no_returned_gradient_shares_memory(self, small_world, tiny_configs, variant):
+        cfg = tiny_configs[variant]
+        params = init_params(cfg, seed=7)
+        batch = TestFusedNodesMatchComposedChain._batch(small_world, cfg, 8)
+        _, grads = value_and_grads(self._graph(variant, cfg, batch), params.tensors)
+        names = sorted(grads)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                assert not np.shares_memory(grads[a], grads[b]), (a, b)
+            for p in names:
+                assert not np.shares_memory(grads[a], params.tensors[p]), (a, p)
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    def test_no_two_nodes_share_a_gradient(self, small_world, tiny_configs, variant):
+        cfg = tiny_configs[variant]
+        batch = TestFusedNodesMatchComposedChain._batch(small_world, cfg, 8)
+        loss = self._graph(variant, cfg, batch)(wrap_tensors(init_params(cfg, seed=7)))
+        loss.backward()
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        grads = [n.grad for n in nodes if n.grad is not None]
+        assert len(grads) > 50
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
