@@ -15,10 +15,10 @@ from .evaluation import (EvalConfig, RankedList, TfidfIndex, binarize, bos_rank,
                          rank_items, recall_at_k, relevance, roc_auc,
                          top_tags_baseline, zero_shot_rank)
 from .finetune import (FinetuneConfig, FinetuneResult, example_weight,
-                       finetune_dual, finetune_full, predict_tag_scores,
-                       run_finetune, sample_negatives, split_holdout)
-from .numerics import (AdamState, adam_step, cross_entropy, grad_check,
-                       layer_norm, softmax, value_and_grads)
+                       predict_tag_scores, run_finetune, sample_negatives,
+                       split_holdout)
+from .numerics import (AdamState, adam_step, grad_check, layer_norm, softmax,
+                       value_and_grads)
 from .objectives import (LossOutput, MaskedBatch, TrainingConfig, build_batch,
                          dual_loss, full_loss, hybrid_loss, mask_tokens, pretrain)
 from .synthetic import SyntheticWorld, SyntheticWorldSpec, generate_synthetic

@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -500,16 +500,6 @@ def gelu(a: Tensor) -> Tensor:
         d += phi
         d *= g
         _accum(a, d, owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed stably."""
-    out_data = np.logaddexp(np.zeros((), dtype=a.data.dtype), a.data)
-
-    def backward(g):
-        _accum(a, g * expit(a.data), owned=True)
 
     return _node(out_data, (a,), backward)
 

@@ -14,13 +14,14 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation, finetune as ft, objectives, synthetic, text
-from .encoder import ModelConfig, entity_matrix, load_checkpoint, save_checkpoint
+from .encoder import (ModelConfig, ModelParams, entity_matrix, load_checkpoint,
+                      save_checkpoint)
 from .errors import DataError
 
 log = logging.getLogger("textent")
@@ -71,6 +72,13 @@ def _defaults(args: argparse.Namespace, **fallbacks) -> None:
             setattr(args, key, value)
 
 
+def _set_fields(cls, args: argparse.Namespace) -> dict:
+    """The flags that are set and name a field of dataclass ``cls``; unset
+    flags are left out, so they keep the dataclass defaults."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def _require(args, *flags: str) -> None:
     """DataError naming the first of ``flags`` (argument dests) left unset."""
     run = f"--task {args.task}" + (f" --baseline {args.baseline}" if args.baseline else "")
@@ -97,29 +105,27 @@ def _split_list(split: dict, path, key: str) -> list:
     return split[key]
 
 
-def _load_vocab_for_checkpoint(args) -> text.Vocabulary:
+def _load_model(args) -> tuple[ModelParams, text.Vocabulary]:
+    """The --checkpoint and its vocabulary (--vocab, or the checkpoint's own)."""
+    params = load_checkpoint(args.checkpoint)
     path = getattr(args, "vocab", None) or Path(args.checkpoint) / "vocab.tsv"
     if not Path(path).exists():
         raise DataError(f"no vocabulary at {path}; pass --vocab")
-    return text.Vocabulary.load(path)
+    vocab = text.Vocabulary.load(path)
+    cfg = params.config
+    if (vocab.entity_count, vocab.word_size) != (cfg.entity_count, cfg.word_vocab_size):
+        raise DataError(
+            f"vocabulary {path} ({vocab.entity_count} entities, {vocab.word_size} "
+            f"words) does not match checkpoint {args.checkpoint} "
+            f"({cfg.entity_count} entities, {cfg.word_vocab_size} words)")
+    return params, vocab
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
-    base = synthetic.SyntheticWorldSpec()
-    _defaults(args, **{f: getattr(base, f) for f in
-                       ("entities", "attribute_vocab", "attributes_per_entity",
-                        "sentences_per_entity", "words_per_sentence",
-                        "noise_ratio", "clusters", "distractor_ratio")})
-    spec = synthetic.SyntheticWorldSpec(
-        entities=args.entities, attribute_vocab=args.attribute_vocab,
-        attributes_per_entity=args.attributes_per_entity,
-        sentences_per_entity=args.sentences_per_entity,
-        words_per_sentence=args.words_per_sentence,
-        noise_ratio=args.noise_ratio, seed=args.seed,
-        clusters=args.clusters, distractor_ratio=args.distractor_ratio)
+    spec = synthetic.SyntheticWorldSpec(**_set_fields(synthetic.SyntheticWorldSpec, args))
     world = synthetic.generate_synthetic(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,55 +160,33 @@ def cmd_preprocess(args) -> int:
 
 
 def _model_config_from_args(args, vocab: text.Vocabulary) -> ModelConfig:
-    base = ModelConfig()
-    _defaults(args, **{f: getattr(base, f) for f in
-                       ("layers", "heads", "hidden", "ffn_hidden", "max_seq_len")})
-    entity_dim = args.entity_dim if args.entity_dim is not None else args.hidden
-    return ModelConfig.for_vocab(
-        vocab, args.variant, layers=args.layers, heads=args.heads,
-        hidden=args.hidden, ffn_hidden=args.ffn_hidden,
-        max_seq_len=args.max_seq_len, entity_dim=entity_dim)
+    flags = _set_fields(ModelConfig, args)
+    del flags["variant"]
+    if "hidden" in flags:  # every variant pairs entity rows with hidden states
+        flags.setdefault("entity_dim", flags["hidden"])
+    return ModelConfig.for_vocab(vocab, args.variant, **flags)
 
 
 def cmd_pretrain(args) -> int:
     vocab = text.Vocabulary.load(args.vocab)
     corpus = text.read_corpus(args.corpus)
     model_cfg = _model_config_from_args(args, vocab)
-    base = objectives.TrainingConfig()
-    _defaults(args, **{f: getattr(base, f) for f in
-                       ("steps", "batch_size", "lr", "word_mask_rate",
-                        "entity_mask_rate", "loss_mix", "score_scale",
-                        "checkpoint_every", "log_every")})
-    train_cfg = objectives.TrainingConfig(
-        batch_size=args.batch_size, word_mask_rate=args.word_mask_rate,
-        entity_mask_rate=args.entity_mask_rate, loss_mix=args.loss_mix,
-        score_scale=args.score_scale, steps=args.steps, seed=args.seed,
-        lr=args.lr, checkpoint_every=args.checkpoint_every,
-        log_every=args.log_every)
+    train_cfg = objectives.TrainingConfig(**_set_fields(objectives.TrainingConfig, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params, metrics = objectives.pretrain(corpus, vocab, model_cfg, train_cfg,
                                           out_dir=out)
     vocab.save(out / "vocab.tsv")
     text.write_jsonl(out / "metrics.jsonl", metrics)
-    log.info("pretrained %s for %d steps; final loss %.4f",
-             args.variant, args.steps, metrics[-1]["loss"] if metrics else float("nan"))
+    log.info("pretrained %s for %d steps; final loss %.4f", args.variant,
+             train_cfg.steps, metrics[-1]["loss"] if metrics else float("nan"))
     return 0
 
 
 def cmd_finetune(args) -> int:
-    params = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for_checkpoint(args)
+    params, vocab = _load_model(args)
     votes = text.read_votes(args.votes)
-    base = ft.FinetuneConfig()
-    _defaults(args, **{f: getattr(base, f) for f in
-                       ("protocol", "epochs", "lr", "negative_rate", "weight_mode",
-                        "holdout_fraction", "score_scale")})
-    cfg = ft.FinetuneConfig(
-        negative_rate=args.negative_rate, weight_mode=args.weight_mode,
-        epochs=args.epochs, lr=args.lr, seed=args.seed,
-        holdout_fraction=args.holdout_fraction, protocol=args.protocol,
-        score_scale=args.score_scale)
+    cfg = ft.FinetuneConfig(**_set_fields(ft.FinetuneConfig, args))
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     entities = votes.entity_ids()
@@ -251,15 +235,13 @@ def cmd_evaluate(args) -> int:
             ranked = [index.rank_query(q.text) for q in queries]
         elif args.baseline == "bos":
             _require(args, "checkpoint", "corpus")
-            params = load_checkpoint(args.checkpoint)
-            vocab = _load_vocab_for_checkpoint(args)
+            params, vocab = _load_model(args)
             corpus = text.read_corpus(args.corpus)
             bos = evaluation.BosIndex(params, vocab, corpus)
             ranked = [bos.rank_query(q.text, eval_cfg.bos_aggregation) for q in queries]
         else:
             _require(args, "checkpoint")
-            params = load_checkpoint(args.checkpoint)
-            vocab = _load_vocab_for_checkpoint(args)
+            params, vocab = _load_model(args)
             ranked = [evaluation.zero_shot_rank(params, vocab, q.text, args.score_scale)
                       for q in queries]
         rows = evaluation.evaluate_retrieval(ranked, queries, eval_cfg)
@@ -297,8 +279,7 @@ def cmd_evaluate(args) -> int:
             scores = {e: {t: rank_score.get(t, 0.0) for t in tags} for e in entities}
         else:
             _require(args, "checkpoint")
-            params = load_checkpoint(args.checkpoint)
-            vocab = _load_vocab_for_checkpoint(args)
+            params, vocab = _load_model(args)
             scores = ft.score_tag_matrix(params, vocab, entities, tags, args.score_scale)
         rows = evaluation.evaluate_tag_scores(scores, votes, eval_cfg, entities, tags)
     else:
@@ -313,8 +294,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_retrieve(args) -> int:
     _defaults(args, k=10, score_scale=ft.FinetuneConfig().score_scale)
-    params = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for_checkpoint(args)
+    params, vocab = _load_model(args)
     ranked = evaluation.zero_shot_rank(params, vocab, args.query, args.score_scale)
     sys.stdout.write("rank\tentity_id\tscore\n")
     for rank, (entity_id, score) in enumerate(
@@ -324,8 +304,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    params = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for_checkpoint(args)
+    params, vocab = _load_model(args)
     table = entity_matrix(params)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# variant={params.config.variant} dim={table.shape[1]} "

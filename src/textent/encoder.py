@@ -14,14 +14,15 @@ share it:
           input is the hidden state concatenated with the entity embedding
           (its projection is untied: the input width differs)
 
-Checkpoints are a JSON manifest next to one raw little-endian float file
-per named tensor; loading validates every shape against the config.
+Checkpoints are a JSON manifest (format version 2) next to one raw
+little-endian float file per named tensor; loading validates the manifest
+and every shape against the config, and still reads version 1.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -139,9 +140,6 @@ def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["hyb_ln_b"] = (h,)
         shapes["hyb_out_w"] = (h, v)
         shapes["hyb_out_b"] = (v,)
-    if config.variant == "full":
-        shapes["cls_w"] = (h, 1)
-        shapes["cls_b"] = (1,)
     return shapes
 
 
@@ -421,6 +419,11 @@ def hybrid_mlm_logits(hidden_states: np.ndarray, entity_vec: np.ndarray,
 
 
 _MANIFEST = "manifest.json"
+_FORMAT = "textent-checkpoint"
+_VERSION = 2
+_DTYPES = ("<f4", "<f8")
+# Version 1 full checkpoints also carry a classifier head that nothing reads.
+_V1_ONLY = ("cls_w", "cls_b")
 
 
 def save_checkpoint(params: ModelParams, directory: str | Path) -> None:
@@ -429,8 +432,8 @@ def save_checkpoint(params: ModelParams, directory: str | Path) -> None:
     dtype = next(iter(params.tensors.values())).dtype
     code = "<f8" if dtype == np.float64 else "<f4"
     manifest = {
-        "format": "textent-checkpoint",
-        "version": 1,
+        "format": _FORMAT,
+        "version": _VERSION,
         "config": asdict(params.config),
         "dtype": code,
         "tensors": {},
@@ -443,8 +446,8 @@ def save_checkpoint(params: ModelParams, directory: str | Path) -> None:
         json.dump(manifest, fh, indent=2)
 
 
-def load_checkpoint(directory: str | Path) -> ModelParams:
-    directory = Path(directory)
+def _read_manifest(directory: Path) -> dict:
+    """The checkpoint's manifest; DataError naming it for anything malformed."""
     path = directory / _MANIFEST
     try:
         with open(path, encoding="utf-8") as fh:
@@ -455,27 +458,52 @@ def load_checkpoint(directory: str | Path) -> ModelParams:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{path} is not a JSON object")
-    for key in ("config", "dtype", "tensors"):
+    for key in ("format", "version", "config", "dtype", "tensors"):
         if key not in manifest:
             raise DataError(f"{path} has no {key!r}")
-    config_fields = manifest["config"]
-    if not isinstance(config_fields, dict):
-        raise DataError(f"{path}: 'config' is not a JSON object")
-    unknown = sorted(set(config_fields) - {f.name for f in fields(ModelConfig)})
+    if manifest["format"] != _FORMAT:
+        raise DataError(f"{path}: format {manifest['format']!r} is not {_FORMAT!r}")
+    version = manifest["version"]
+    if type(version) is not int or version not in (1, _VERSION):
+        raise DataError(f"{path}: unsupported version {version!r}")
+    if manifest["dtype"] not in _DTYPES:
+        raise DataError(f"{path}: dtype {manifest['dtype']!r} is not one of {_DTYPES}")
+    for key in ("config", "tensors"):
+        if not isinstance(manifest[key], dict):
+            raise DataError(f"{path}: {key!r} is not a JSON object")
+    for name, meta in manifest["tensors"].items():
+        if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)
+                and isinstance(meta.get("shape"), list)):
+            raise DataError(f"{path}: tensor {name!r} needs a 'file' string "
+                            f"and a 'shape' list")
+    defaults = asdict(ModelConfig())
+    unknown = sorted(set(manifest["config"]) - set(defaults))
     if unknown:
         raise DataError(f"{path}: unknown config keys {unknown}")
-    config = ModelConfig(**config_fields)
+    for key, value in manifest["config"].items():
+        if type(value) is not type(defaults[key]):
+            raise DataError(f"{path}: config {key!r} is {value!r}, "
+                            f"not {type(defaults[key]).__name__}")
+    return manifest
+
+
+def load_checkpoint(directory: str | Path) -> ModelParams:
+    """Load a version 1 or 2 checkpoint; version 1's classifier head is dropped."""
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    config = ModelConfig(**manifest["config"])
     config.validate()
     code = manifest["dtype"]
     shapes = expected_shapes(config)
-    listed = set(manifest["tensors"])
-    if listed != set(shapes):
-        missing = sorted(set(shapes) - listed)
-        extra = sorted(listed - set(shapes))
+    entries = {name: meta for name, meta in manifest["tensors"].items()
+               if manifest["version"] > 1 or name not in _V1_ONLY}
+    if set(entries) != set(shapes):
+        missing = sorted(set(shapes) - set(entries))
+        extra = sorted(set(entries) - set(shapes))
         raise DataError(f"checkpoint tensors do not match config "
                         f"(missing {missing}, unexpected {extra})")
     tensors = {}
-    for name, meta in manifest["tensors"].items():
+    for name, meta in entries.items():
         shape = tuple(meta["shape"])
         if shape != shapes[name]:
             raise DataError(f"tensor '{name}' has shape {shape}, expected {shapes[name]}")
@@ -484,5 +512,5 @@ def load_checkpoint(directory: str | Path) -> ModelParams:
             raise DataError(f"tensor '{name}' file has {data.size} values, "
                             f"expected {int(np.prod(shape))}")
         native = np.float64 if code == "<f8" else np.float32
-        tensors[name] = data.reshape(shape).astype(native)
+        tensors[name] = data.reshape(shapes[name]).astype(native)
     return ModelParams(config, tensors)

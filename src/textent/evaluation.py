@@ -297,11 +297,8 @@ class TfidfIndex:
             return np.zeros(len(self.idf))
         return self.weights[row].toarray()[0]
 
-    def tag_score(self, entity_id: str, tag: str) -> float:
-        """Sum of tf-idf over the tag's tokens; 0 for unseen tags."""
-        return self.tag_scores(entity_id, [tag])[tag]
-
     def tag_scores(self, entity_id: str, tags: Sequence[str]) -> dict[str, float]:
+        """Per tag, the sum of tf-idf over its tokens; 0 for unseen tags."""
         weights = self._weights_of(entity_id)
         return {tag: sum(float(weights[t]) for t in tokenize(tag, self.vocab))
                 for tag in tags}

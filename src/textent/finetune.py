@@ -3,11 +3,12 @@
 Every observed (entity, tag) pair is a positive example weighted by its
 vote count (or log thereof); per entity, a fixed fraction of the tag
 vocabulary is sampled as negatives, excluding that entity's known
-positives. One loop serves every variant: per positive, cross-entropy of
-the tag under a softmax over it and the entity's negatives. Entity
-embeddings stay frozen throughout: their gradient rows are zeroed before
-every optimizer step, and since fine-tuning starts from fresh optimizer
-state the rows remain bit-identical.
+positives. One loop, ``run_finetune``, serves every variant: per
+positive, cross-entropy of the tag under a softmax over it and the
+entity's negatives. Entity embeddings stay frozen throughout: their
+gradient rows are zeroed before every optimizer step, and since
+fine-tuning starts from fresh optimizer state the rows remain
+bit-identical.
 
 Each variant scores a tag through what its pretraining learned about all
 entities, so held-out entities are scored by the same readout:
@@ -253,22 +254,6 @@ def posterior_log_probs(pt, config, input_ids, segment_ids, pad_mask) -> Tensor:
     return autodiff.log_softmax(logits, axis=-1)
 
 
-def binary_tag_graph(pt, config, input_ids, segment_ids, pad_mask,
-                     labels: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted logistic loss of the CLS classifier over (entity, tag) rows.
-
-    Fine-tuning does not use it: a head trained on the fine-tuning entities
-    alone does not carry over to held-out ones. Full checkpoints still hold
-    the head's parameters.
-    """
-    hidden, _ = encode_tensors(pt, config, input_ids, segment_ids, pad_mask)
-    logits = (hidden[:, 0] @ pt["cls_w"] + pt["cls_b"]).reshape(len(labels))
-    sign = autodiff.constant(np.asarray(1.0 - 2.0 * labels, dtype=logits.dtype))
-    per_example = autodiff.softplus(logits * sign)
-    w = np.asarray(weights, dtype=per_example.dtype)
-    return (per_example * autodiff.constant(w)).sum() / float(w.sum())
-
-
 def softmax_tag_graph(pt, config, input_ids, segment_ids, pad_mask,
                       entity_index: int, positive_count: int,
                       weights: np.ndarray, score_scale: float) -> Tensor:
@@ -318,9 +303,15 @@ def _step_graph(cfg: ModelConfig, tokens: list[list[int]], entity_index: int,
                                         positive_count, weights, config.score_scale)
 
 
-def _finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
-              vocab: Vocabulary, train_entities: Sequence[str] | None,
-              allowed_tags: set[str] | None) -> FinetuneResult:
+def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
+                 vocab: Vocabulary, train_entities: Sequence[str] | None = None,
+                 allowed_tags: set[str] | None = None) -> FinetuneResult:
+    """Tag-softmax fine-tuning of any variant; the input params are not changed.
+
+    ``train_entities`` defaults to every entity with votes; ``allowed_tags``
+    (open protocol) keeps every other tag out of training. A non-finite loss
+    or gradient raises ``TrainingDiverged`` naming the epoch and the entity.
+    """
     config.validate()
     params = params.copy()
     cfg = params.config
@@ -355,44 +346,6 @@ def _finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
                                "loss": epoch_loss / max(steps, 1)})
         log.info("epoch %d  loss %.4f", epoch + 1, epoch_loss / max(steps, 1))
     return result
-
-
-def finetune_full(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
-                  vocab: Vocabulary, train_entities: Sequence[str] | None = None,
-                  allowed_tags: set[str] | None = None) -> FinetuneResult:
-    """Tag-softmax fine-tuning of the full variant through log p(entity | tag)."""
-    if params.config.variant != "full":
-        raise DataError("finetune_full needs a full-variant checkpoint")
-    return _finetune(params, votes, config, vocab, train_entities, allowed_tags)
-
-
-def finetune_dual(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
-                  vocab: Vocabulary, train_entities: Sequence[str] | None = None,
-                  allowed_tags: set[str] | None = None) -> FinetuneResult:
-    """Tag-softmax fine-tuning of the dual and hybrid variants.
-
-    Per positive (entity, tag): cross-entropy of the tag under a softmax
-    over the tag plus the entity's sampled negatives. Dual scores a tag by
-    the scaled cosine between its encoding and the frozen entity embedding;
-    hybrid by the tag's mean log-probability under the entity-conditioned
-    masked-word head.
-    """
-    if params.config.variant not in ("dual", "hybrid"):
-        raise DataError("finetune_dual needs a dual- or hybrid-variant checkpoint")
-    return _finetune(params, votes, config, vocab, train_entities, allowed_tags)
-
-
-def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
-                 vocab: Vocabulary, train_entities: Sequence[str] | None = None,
-                 allowed_tags: set[str] | None = None) -> FinetuneResult:
-    """Dispatch to the variant's fine-tuning strategy.
-
-    A non-finite loss or gradient raises ``TrainingDiverged`` naming the
-    epoch and the entity.
-    """
-    if params.config.variant == "full":
-        return finetune_full(params, votes, config, vocab, train_entities, allowed_tags)
-    return finetune_dual(params, votes, config, vocab, train_entities, allowed_tags)
 
 
 # -- scoring ---------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Array-level numeric primitives with explicit contracts.
 
 Holds a checked softmax and layer norm computed by the ``autodiff`` ops
-the models call directly, a floored cross-entropy, the Adam optimizer, the
-one loss-and-gradient path (``value_and_grads``) and a central-difference
-gradient-check harness. 32-bit floats are the training default; gradient
-checks should be run on 64-bit parameters.
+the models call directly, the Adam optimizer, the one loss-and-gradient
+path (``value_and_grads``) and a central-difference gradient-check
+harness. 32-bit floats are the training default; gradient checks should be
+run on 64-bit parameters.
 """
 
 from __future__ import annotations
@@ -32,21 +32,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
     return autodiff.softmax(autodiff.constant(logits), axis=axis).data
-
-
-def cross_entropy(probs: np.ndarray, target: int) -> float:
-    """-log(probs[target]), with the probability floored at EPS_FLOOR.
-
-    ``probs`` must be a valid probability vector and ``target`` in range.
-    """
-    probs = np.asarray(probs)
-    if probs.ndim != 1 or probs.size == 0:
-        raise DataError("probs must be a nonempty vector")
-    if not (0 <= target < probs.size):
-        raise DataError(f"target {target} out of range for {probs.size} classes")
-    if np.any(probs < -1e-9) or abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise DataError("probs is not a probability vector")
-    return float(-np.log(max(float(probs[target]), EPS_FLOOR)))
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -112,9 +112,6 @@ class Vocabulary:
             raise DataError(f"entity index {index} out of range")
         return self.entity_ids[index]
 
-    def is_entity_token(self, token_id: int) -> bool:
-        return token_id >= self.word_size
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for tid, (token, kind) in enumerate(zip(self.id_to_token, self.kinds)):

@@ -13,7 +13,7 @@ from textent import evaluation, finetune, objectives
 from textent.cli import main
 from textent.encoder import ModelConfig, load_checkpoint
 from textent.evaluation import bos_rank
-from textent.text import Vocabulary, read_corpus, read_queries
+from textent.text import Vocabulary, extend_with_entities, read_corpus, read_queries
 
 GEN_ARGS = ["--entities", "10", "--attribute-vocab", "30",
             "--attributes-per-entity", "4", "--sentences-per-entity", "8",
@@ -114,7 +114,25 @@ class TestExitCodes:
         (lambda m: "{not json", "is not valid JSON"),
         (lambda m: {**m, "config": {**m["config"], "dropout": 0.1}},
          "unknown config keys ['dropout']"),
-    ], ids=["not-json", "unknown-config-key"])
+        (lambda m: {**m, "config": {**m["config"], "hidden": "16"}},
+         "config 'hidden' is '16', not int"),
+        (lambda m: {**m, "dtype": ">f4"}, "dtype '>f4'"),
+        (lambda m: {**m, "dtype": "<i4"}, "dtype '<i4'"),
+        (lambda m: {**m, "version": 99}, "unsupported version 99"),
+        (lambda m: {**m, "format": "nope"}, "format 'nope'"),
+        (lambda m: {**m, "tensors": list(m["tensors"])}, "'tensors' is not a JSON object"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
+            "file": "tensors/entity_table.bin"}}},
+         "tensor 'entity_table' needs a 'file' string and a 'shape' list"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": [
+            "tensors/entity_table.bin", [10, 16]]}},
+         "tensor 'entity_table' needs a 'file' string and a 'shape' list"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
+            "file": "tensors/entity_table.bin", "shape": "10x16"}}},
+         "tensor 'entity_table' needs a 'file' string and a 'shape' list"),
+    ], ids=["not-json", "unknown-config-key", "config-value-type", "big-endian-dtype", "int-dtype",
+            "unknown-version", "unknown-format", "tensors-list", "tensor-without-shape",
+            "tensor-as-list", "shape-not-list"])
     def test_bad_manifest_is_data_error(self, workdir, tmp_path, capsys, damage,
                                         problem):
         ckpt = tmp_path / "ckpt"
@@ -145,6 +163,27 @@ class TestExitCodes:
                      "--split", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path} " in err and problem in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("variant", ["dual", "full"])
+    @pytest.mark.parametrize("extra_entities", [1, -1])
+    def test_vocab_not_matching_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
+                                                        variant, extra_entities):
+        ckpt = tmp_path / "ckpt"
+        _pretrain(workdir / "data", ckpt, steps=0, variant=variant)
+        vocab = Vocabulary.load(ckpt / "vocab.tsv")
+        words = vocab.id_to_token[vocab.kinds.count("special"):vocab.word_size]
+        entities = (vocab.entity_ids + ["e_extra"] if extra_entities > 0
+                    else vocab.entity_ids[:-1])
+        path = tmp_path / "vocab.tsv"
+        extend_with_entities(Vocabulary.from_words(words), entities).save(path)
+        for command in (["retrieve", "--query", "x"],
+                        ["export", "--out", str(tmp_path / "emb.tsv")]):
+            assert main(command + ["--checkpoint", str(ckpt), "--vocab", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"vocabulary {path} ({len(entities)} entities" in err
+            assert f"checkpoint {ckpt} ({len(vocab.entity_ids)} entities" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "emb.tsv").exists()
 
     def test_token_id_past_word_vocabulary_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"

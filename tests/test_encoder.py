@@ -1,5 +1,8 @@
 """Encoder forward-pass contracts, heads, and checkpoint round trips."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -302,7 +305,8 @@ class TestConfig:
         full = set(expected_shapes(ModelConfig(**TOY, variant="full")))
         hybrid = set(expected_shapes(ModelConfig(**TOY, variant="hybrid")))
         assert "entity_table" in dual and "entity_table" not in full
-        assert {"cls_w", "cls_b", "mlm_dense_w", "mlm_out_b"} <= full
+        assert {"mlm_dense_w", "mlm_out_b"} <= full
+        assert not {"cls_w", "cls_b"} & (dual | full | hybrid)
         assert {"hyb_dense_w", "hyb_out_w", "mlm_out_b", "entity_table"} <= hybrid
 
 
@@ -327,7 +331,6 @@ class TestCheckpoints:
         params = toy_params("dual")
         save_checkpoint(params, tmp_path / "ckpt")
         (tmp_path / "ckpt" / "tensors" / "entity_table.bin").unlink()
-        import json
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
         del manifest["tensors"]["entity_table"]
         (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
@@ -337,12 +340,52 @@ class TestCheckpoints:
     def test_shape_mismatch_rejected(self, tmp_path):
         params = toy_params("dual")
         save_checkpoint(params, tmp_path / "ckpt")
-        import json
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
         manifest["tensors"]["entity_table"]["shape"] = [2, 2]
         (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="shape"):
             load_checkpoint(tmp_path / "ckpt")
+
+    def test_version_1_full_checkpoint_loads_without_classifier_head(
+            self, v1_full_checkpoint, tmp_path):
+        directory, params = v1_full_checkpoint
+        loaded = load_checkpoint(directory)
+        assert loaded.config == params.config
+        assert set(loaded.tensors) == set(params.tensors)
+        for name, arr in params.tensors.items():
+            assert loaded.tensors[name].tobytes() == arr.tobytes(), name
+        save_checkpoint(loaded, tmp_path / "v2")
+        manifest = json.loads((tmp_path / "v2" / "manifest.json").read_text())
+        assert manifest["version"] == 2 and "cls_w" not in manifest["tensors"]
+
+    def test_version_2_manifest_with_classifier_head_rejected(self, v1_full_checkpoint):
+        directory, _ = v1_full_checkpoint
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["version"] = 2
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=r"unexpected \['cls_b', 'cls_w'\]"):
+            load_checkpoint(directory)
+
+
+@pytest.fixture
+def v1_full_checkpoint(tmp_path):
+    """A full checkpoint as format version 1 wrote it, classifier head included;
+    returns its directory and the parameters it holds besides that head."""
+    params = toy_params("full", dtype=np.float32)
+    hidden = params.config.hidden
+    tensors = {**params.tensors,
+               "cls_w": np.full((hidden, 1), 0.25, dtype=np.float32),
+               "cls_b": np.zeros(1, dtype=np.float32)}
+    directory = tmp_path / "v1"
+    (directory / "tensors").mkdir(parents=True)
+    manifest = {"format": "textent-checkpoint", "version": 1,
+                "config": asdict(params.config), "dtype": "<f4", "tensors": {}}
+    for name, arr in sorted(tensors.items()):
+        fname = f"tensors/{name}.bin"
+        arr.astype("<f4").tofile(directory / fname)
+        manifest["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return directory, params
 
 
 class TestFusedNodesMatchComposedChain:

@@ -233,21 +233,22 @@ class TestTfidf:
     def test_three_doc_scores_match_hand_computation(self, toy):
         index, _ = toy
         ln32 = math.log(3 / 2)
-        assert math.isclose(index.tag_score("d1", "apple"), 2 * ln32)
-        assert index.tag_score("d1", "banana") == 0.0  # df=2 -> idf ln(3/3)=0
-        assert math.isclose(index.tag_score("d3", "date"), ln32)
-        assert index.tag_score("d2", "apple") == 0.0
+        d1 = index.tag_scores("d1", ["apple", "banana"])
+        assert math.isclose(d1["apple"], 2 * ln32)
+        assert d1["banana"] == 0.0  # df=2 -> idf ln(3/3)=0
+        assert math.isclose(index.tag_scores("d3", ["date"])["date"], ln32)
+        assert index.tag_scores("d2", ["apple"]) == {"apple": 0.0}
 
     def test_absent_tag_scores_zero_everywhere(self, toy):
         index, _ = toy
         for doc in ("d1", "d2", "d3"):
-            assert index.tag_score(doc, "egg") == 0.0
+            assert index.tag_scores(doc, ["egg"]) == {"egg": 0.0}
 
     def test_single_document_idf_clamped_at_zero(self):
         vocab = build_vocab([["apple"]])
         index = TfidfIndex([CorpusExample("d1", [vocab.lookup("apple")])], vocab)
         assert index.idf[vocab.lookup("apple")] == 0.0  # ln(1/2) clamped
-        assert index.tag_score("d1", "apple") == 0.0
+        assert index.tag_scores("d1", ["apple"]) == {"apple": 0.0}
 
     def test_query_ranking_prefers_lexical_match(self, toy):
         index, _ = toy
@@ -256,9 +257,8 @@ class TestTfidf:
 
     def test_multi_token_tag_sums_over_tokens(self, toy):
         index, _ = toy
-        both = index.tag_score("d1", "apple date")
-        assert math.isclose(both, index.tag_score("d1", "apple")
-                            + index.tag_score("d1", "date"))
+        scores = index.tag_scores("d1", ["apple date", "apple", "date"])
+        assert math.isclose(scores["apple date"], scores["apple"] + scores["date"])
 
 
 @pytest.fixture(scope="module")

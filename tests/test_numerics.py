@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from textent import autodiff
 from textent.encoder import ModelConfig, encode_tensors, init_params
 from textent.errors import DataError, NumericError
-from textent.numerics import (AdamState, adam_step, cross_entropy, grad_check,
-                              layer_norm, softmax, value_and_grads)
+from textent.numerics import (AdamState, adam_step, grad_check, layer_norm, softmax,
+                              value_and_grads)
 
 from conftest import layer_norm_ref
 
@@ -58,37 +58,6 @@ class TestSoftmax:
         # the max-logit coordinate attains the max probability (exp may
         # collapse near-ties, so compare probabilities, not indices)
         assert p[int(np.argmax(logits))] == p.max()
-
-
-class TestCrossEntropy:
-    def test_certain_prediction(self):
-        assert cross_entropy(np.array([1.0]), 0) == 0.0
-
-    @pytest.mark.parametrize("n", [2, 3, 7])
-    def test_uniform_is_log_n(self, n):
-        probs = np.full(n, 1.0 / n)
-        assert math.isclose(cross_entropy(probs, 0), math.log(n), rel_tol=1e-12)
-
-    def test_analytic_case(self):
-        assert math.isclose(cross_entropy(np.array([0.25, 0.75]), 1),
-                            -math.log(0.75), rel_tol=1e-12)
-
-    def test_zero_probability_is_floored(self):
-        loss = cross_entropy(np.array([1.0, 0.0]), 1)
-        assert math.isclose(loss, -math.log(1e-12))
-
-    def test_nonnegative_and_zero_iff_certain(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(5))
-            t = int(rng.integers(5))
-            loss = cross_entropy(p, t)
-            assert loss >= 0.0
-            assert (loss == 0.0) == (p[t] == 1.0)
-
-    def test_bad_target(self):
-        with pytest.raises(DataError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
 
 
 class TestLayerNorm:
