@@ -58,8 +58,14 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             continue
         if getattr(args, key) is None:
             val = values[key]
-            if action.type is not None:
-                val = action.type(val)
+            try:
+                val = action.type(val) if action.type is not None else val
+            except ValueError as exc:
+                raise DataError(f"{args.config}: {key} = {val!r} is not "
+                                f"{action.type.__name__}") from exc
+            if action.choices is not None and val not in action.choices:
+                raise DataError(f"{args.config}: {key} = {val!r} is not one of "
+                                f"{list(action.choices)}")
             setattr(args, key, val)
     unknown = set(values) - {a.dest for a in parser._actions}
     if unknown:

@@ -57,6 +57,10 @@ class ModelConfig:
             raise DataError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.layers < 0 or self.heads < 1 or self.hidden < 2:
             raise DataError("bad encoder dimensions")
+        if self.ffn_hidden < 1:
+            raise DataError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
+        if self.max_seq_len < 4:  # the shortest full row: [CLS] entity [SEP] [SEP]
+            raise DataError(f"max_seq_len must be >= 4, got {self.max_seq_len}")
         if self.vocab_size < 5:
             raise DataError("vocab_size must cover the reserved specials")
         if self.entity_count < 1:
@@ -471,11 +475,16 @@ def _read_manifest(directory: Path) -> dict:
     for key in ("config", "tensors"):
         if not isinstance(manifest[key], dict):
             raise DataError(f"{path}: {key!r} is not a JSON object")
+    root = directory.resolve()
     for name, meta in manifest["tensors"].items():
         if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)
                 and isinstance(meta.get("shape"), list)):
             raise DataError(f"{path}: tensor {name!r} needs a 'file' string "
                             f"and a 'shape' list")
+        if (Path(meta["file"]).is_absolute()
+                or not (root / meta["file"]).resolve().is_relative_to(root)):
+            raise DataError(f"{path}: tensor {name!r} file {meta['file']!r} is "
+                            f"outside the checkpoint directory")
     defaults = asdict(ModelConfig())
     unknown = sorted(set(manifest["config"]) - set(defaults))
     if unknown:

@@ -203,6 +203,8 @@ def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str,
     encoded query. The full variant encodes [CLS] [MASK] [SEP] query [SEP]
     and reads the masked position's logits over the entity block.
     """
+    if not score_scale > 0:
+        raise DataError(f"score_scale must be > 0, got {score_scale}")
     cfg = params.config
     tokens = _query_tokens(query, vocab)
     entity_ids = list(vocab.entity_ids)

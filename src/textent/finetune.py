@@ -5,13 +5,15 @@ vote count (or log thereof); per entity, a fixed fraction of the tag
 vocabulary is sampled as negatives, excluding that entity's known
 positives. One loop, ``run_finetune``, serves every variant: per
 positive, cross-entropy of the tag under a softmax over it and the
-entity's negatives. Entity embeddings stay frozen throughout: their
-gradient rows are zeroed before every optimizer step, and since
-fine-tuning starts from fresh optimizer state the rows remain
+entity's negatives (``tag_loss``). Entity embeddings stay frozen
+throughout: their gradient rows are zeroed before every optimizer step,
+and since fine-tuning starts from fresh optimizer state the rows remain
 bit-identical.
 
-Each variant scores a tag through what its pretraining learned about all
-entities, so held-out entities are scored by the same readout:
+Each variant reads a tag through what its pretraining learned about all
+entities, so held-out entities are scored by the same readout. One class,
+``EncodedTags``, holds it: fine-tuning trains its logits, scoring reads
+them.
 
   dual    scaled cosine between the tag's CLS encoding and the entity
           embedding (the in-batch objective's score)
@@ -71,6 +73,8 @@ class FinetuneConfig:
             raise DataError(f"unknown protocol {self.protocol!r}")
         if self.epochs < 0 or not 0.0 < self.holdout_fraction < 1.0:
             raise DataError("bad epochs or holdout_fraction")
+        if not self.score_scale > 0:
+            raise DataError(f"score_scale must be > 0, got {self.score_scale}")
 
 
 def example_weight(votes: int, mode: str = "log1p") -> float:
@@ -149,7 +153,7 @@ def _step_data(votes: TagVotes, entity_id: str, allowed_tags: set[str] | None,
     return positives, negatives
 
 
-# -- per-variant tag scores as graphs ----------------------------------------------
+# -- the tag readout ----------------------------------------------------------------
 
 
 def tag_softmax_loss(scores: Tensor, positive_count: int,
@@ -163,25 +167,6 @@ def tag_softmax_loss(scores: Tensor, positive_count: int,
     logp = autodiff.log_softmax(scores[rows], axis=-1)
     w = np.asarray(weights, dtype=scores.dtype)
     return (logp[:, 0] * autodiff.constant(-w)).sum() / float(w.sum())
-
-
-def cosine_tag_scores(pt, config, input_ids, segment_ids, pad_mask,
-                      entity_index: int, score_scale: float) -> Tensor:
-    """Dual: scaled cosine between each encoded tag's CLS and the entity."""
-    directions = _tag_directions(pt, config, input_ids, segment_ids, pad_mask)
-    return _cosine_against(pt, directions, entity_index, score_scale)
-
-
-def _tag_directions(pt, config, input_ids, segment_ids, pad_mask) -> Tensor:
-    """Unit-length CLS encodings of the tag rows: dual's entity-free part."""
-    hidden, _ = encode_tensors(pt, config, input_ids, segment_ids, pad_mask)
-    return _normalize_rows(hidden[:, 0], "tag")
-
-
-def _cosine_against(pt, directions: Tensor, entity_index: int,
-                    score_scale: float) -> Tensor:
-    ent_n = _normalize_rows(pt["entity_table"][np.asarray([entity_index])], "entity")
-    return (directions @ ent_n.transpose(1, 0)).reshape(directions.shape[0]) * score_scale
 
 
 @dataclass
@@ -221,86 +206,73 @@ class MaskLayout:
                    as_int(token_ids), average)
 
 
-def head_tag_scores(pt, config, layout: MaskLayout, entity_index: int) -> Tensor:
-    """Hybrid: mean log-probability of each tag's tokens under the
-    entity-conditioned masked-word head, read at [CLS] [MASK]*n [SEP]."""
-    return _head_scores_at(pt, layout, _mask_states(pt, config, layout), entity_index)
+@dataclass
+class EncodedTags:
+    """A tag list read through its variant's readout, encoded once.
+
+    ``build`` runs the part no entity changes; ``logits`` adds the
+    per-entity arithmetic. Fine-tuning builds it on parameter tensors and
+    trains on the logits; scoring builds it once on constants and reads
+    the logits of every entity.
+
+      dual    ``rows`` are the tags' unit CLS directions
+      hybrid  ``rows`` are the encoder outputs at each tag token's mask
+              in ``layout``
+      full    ``rows`` are log p(entity | [CLS] [MASK] [SEP] tag [SEP])
+              over the entity block
+    """
+
+    variant: str
+    pt: Mapping[str, Tensor]
+    rows: Tensor
+    layout: MaskLayout | None = None
+
+    @classmethod
+    def build(cls, pt: Mapping[str, Tensor], cfg: ModelConfig,
+              tokens: Sequence[Sequence[int]]) -> "EncodedTags":
+        if cfg.variant == "hybrid":
+            layout = MaskLayout.for_tags(tokens, cfg)
+            hidden, _ = encode_tensors(pt, cfg, layout.input_ids, layout.segment_ids,
+                                       layout.pad_mask)
+            return cls(cfg.variant, pt,
+                       _flat_gather(hidden, layout.token_rows, layout.token_cols), layout)
+        if cfg.variant == "full":
+            rows = pad_rows(*zip(*(entity_row(MASK, t, cfg) for t in tokens)))
+            hidden, _ = encode_tensors(pt, cfg, *rows)
+            logits = mlm_head_tensors(pt, hidden[:, ENTITY_POSITION],
+                                      slice(cfg.word_vocab_size, None))
+            return cls(cfg.variant, pt, autodiff.log_softmax(logits, axis=-1))
+        rows = pad_rows(*zip(*(sentence_row(t, cfg) for t in tokens)))
+        hidden, _ = encode_tensors(pt, cfg, *rows)
+        return cls(cfg.variant, pt, _normalize_rows(hidden[:, 0], "tag"))
+
+    def logits(self, entity_index: int, score_scale: float) -> Tensor:
+        """Per-tag scores for one entity: the tag softmax's logits."""
+        if self.variant == "full":
+            return self.rows[:, entity_index]
+        if self.variant == "hybrid":
+            n_tokens = len(self.layout.token_ids)
+            ent = self.pt["entity_table"][np.full(n_tokens, entity_index)]
+            logp = autodiff.log_softmax(
+                hybrid_head_tensors(self.pt, autodiff.concat([self.rows, ent], axis=-1)),
+                axis=-1)
+            picked = logp[np.arange(n_tokens), self.layout.token_ids].reshape(n_tokens, 1)
+            average = autodiff.constant(self.layout.average.astype(picked.dtype))
+            return (average @ picked).reshape(len(self.layout.average))
+        ent = self.pt["entity_table"][np.asarray([entity_index])]
+        cosines = self.rows @ _normalize_rows(ent, "entity").transpose(1, 0)
+        return cosines.reshape(self.rows.shape[0]) * score_scale
 
 
-def _mask_states(pt, config, layout: MaskLayout) -> Tensor:
-    """Encoder output at every mask a tag token is read at: hybrid's
-    entity-free part."""
-    hidden, _ = encode_tensors(pt, config, layout.input_ids, layout.segment_ids,
-                               layout.pad_mask)
-    return _flat_gather(hidden, layout.token_rows, layout.token_cols)
+def tag_loss(pt: Mapping[str, Tensor], cfg: ModelConfig, tokens: Sequence[Sequence[int]],
+             entity_index: int, positive_count: int, weights: np.ndarray,
+             score_scale: float) -> Tensor:
+    """One entity's fine-tuning loss: the tag softmax over its readout.
 
-
-def _head_scores_at(pt, layout: MaskLayout, h: Tensor, entity_index: int) -> Tensor:
-    n_tokens = len(layout.token_ids)
-    ent = pt["entity_table"][np.full(n_tokens, entity_index)]
-    logp = autodiff.log_softmax(
-        hybrid_head_tensors(pt, autodiff.concat([h, ent], axis=-1)), axis=-1)
-    picked = logp[np.arange(n_tokens), layout.token_ids].reshape(n_tokens, 1)
-    average = autodiff.constant(layout.average.astype(picked.dtype))
-    return (average @ picked).reshape(len(layout.average))
-
-
-def posterior_log_probs(pt, config, input_ids, segment_ids, pad_mask) -> Tensor:
-    """Full: log p(entity | [CLS] [MASK] [SEP] tag [SEP]) over the entity
-    block, one row per tag: the direction pretraining trained."""
-    hidden, _ = encode_tensors(pt, config, input_ids, segment_ids, pad_mask)
-    entities = slice(config.word_vocab_size, None)
-    logits = mlm_head_tensors(pt, hidden[:, ENTITY_POSITION], entities)
-    return autodiff.log_softmax(logits, axis=-1)
-
-
-def softmax_tag_graph(pt, config, input_ids, segment_ids, pad_mask,
-                      entity_index: int, positive_count: int,
-                      weights: np.ndarray, score_scale: float) -> Tensor:
-    """Dual fine-tuning loss: tag-softmax over scaled cosine scores."""
-    scores = cosine_tag_scores(pt, config, input_ids, segment_ids, pad_mask,
-                               entity_index, score_scale)
+    ``tokens`` lists the positive tags first, then the negatives.
+    """
+    scores = EncodedTags.build(pt, cfg, tokens).logits(entity_index, score_scale)
     return tag_softmax_loss(scores, positive_count, weights)
-
-
-def head_tag_graph(pt, config, layout: MaskLayout, entity_index: int,
-                   positive_count: int, weights: np.ndarray) -> Tensor:
-    """Hybrid fine-tuning loss: tag-softmax over masked-word head scores."""
-    return tag_softmax_loss(head_tag_scores(pt, config, layout, entity_index),
-                            positive_count, weights)
-
-
-def posterior_tag_graph(pt, config, input_ids, segment_ids, pad_mask,
-                        entity_index: int, positive_count: int,
-                        weights: np.ndarray) -> Tensor:
-    """Full fine-tuning loss: tag-softmax over log p(entity | tag)."""
-    logp = posterior_log_probs(pt, config, input_ids, segment_ids, pad_mask)
-    return tag_softmax_loss(logp[:, entity_index], positive_count, weights)
-
-
-def _posterior_rows(tokens: Sequence[Sequence[int]], config: ModelConfig):
-    return pad_rows(*zip(*(entity_row(MASK, t, config) for t in tokens)))
-
-
-def _sentence_rows(tokens: Sequence[Sequence[int]], config: ModelConfig):
-    return pad_rows(*zip(*(sentence_row(t, config) for t in tokens)))
-
-
-def _step_graph(cfg: ModelConfig, tokens: list[list[int]], entity_index: int,
-                positive_count: int, weights: np.ndarray, config: FinetuneConfig):
-    """The variant's fine-tuning loss for one entity, as a function of the
-    parameter tensors."""
-    if cfg.variant == "hybrid":
-        layout = MaskLayout.for_tags(tokens, cfg)
-        return lambda pt: head_tag_graph(pt, cfg, layout, entity_index,
-                                         positive_count, weights)
-    if cfg.variant == "full":
-        rows = _posterior_rows(tokens, cfg)
-        return lambda pt: posterior_tag_graph(pt, cfg, *rows, entity_index,
-                                              positive_count, weights)
-    rows = _sentence_rows(tokens, cfg)
-    return lambda pt: softmax_tag_graph(pt, cfg, *rows, entity_index,
-                                        positive_count, weights, config.score_scale)
 
 
 def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
@@ -330,11 +302,13 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
                 continue  # a lone candidate is a certainty: zero loss, no step
             candidates = [t for t, _ in positives] + negatives
             result.used_tags.update(candidates)
-            loss_fn = _step_graph(cfg, [_tag_tokens(t, vocab) for t in candidates],
-                                  vocab.entity_index(entity_id), len(positives),
-                                  np.asarray([w for _, w in positives]), config)
+            tokens = [_tag_tokens(t, vocab) for t in candidates]
+            index = vocab.entity_index(entity_id)
+            weights = np.asarray([w for _, w in positives])
             try:
-                loss, grads = value_and_grads(loss_fn, params.tensors)
+                loss, grads = value_and_grads(
+                    lambda pt: tag_loss(pt, cfg, tokens, index, len(positives), weights,
+                                        config.score_scale), params.tensors)
                 _frozen_entity_grad_zero(params, grads)
                 adam_step(params.tensors, grads, state)
             except NumericError as exc:
@@ -351,41 +325,10 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
 # -- scoring ---------------------------------------------------------------------
 
 
-@dataclass
-class EncodedTags:
-    """The part of scoring a tag list that no entity changes, encoded once.
-
-    Dual keeps the tags' unit CLS directions, hybrid the encoder output at
-    each tag token's mask, full the posterior log p(entity | tag) over the
-    entity block. ``scores`` adds the per-entity arithmetic on top.
-    """
-
-    variant: str
-    pt: dict[str, Tensor]
-    rows: Tensor
-    layout: MaskLayout | None = None
-
-    @classmethod
-    def build(cls, params: ModelParams, vocab: Vocabulary,
-              tags: Sequence[str]) -> "EncodedTags":
-        cfg = params.config
-        tokens = [_tag_tokens(t, vocab) for t in tags]
-        pt = wrap_tensors(params, trainable=False)
-        if cfg.variant == "full":
-            return cls(cfg.variant, pt,
-                       posterior_log_probs(pt, cfg, *_posterior_rows(tokens, cfg)))
-        if cfg.variant == "hybrid":
-            layout = MaskLayout.for_tags(tokens, cfg)
-            return cls(cfg.variant, pt, _mask_states(pt, cfg, layout), layout)
-        return cls(cfg.variant, pt, _tag_directions(pt, cfg, *_sentence_rows(tokens, cfg)))
-
-    def scores(self, entity_index: int, score_scale: float) -> np.ndarray:
-        if self.variant == "full":
-            return np.exp(self.rows.data[:, entity_index].astype(np.float64))
-        if self.variant == "hybrid":
-            mean_logp = _head_scores_at(self.pt, self.layout, self.rows, entity_index).data
-            return np.exp(mean_logp.astype(np.float64))
-        return _cosine_against(self.pt, self.rows, entity_index, score_scale).data
+def _encode_tags(params: ModelParams, vocab: Vocabulary,
+                 tags: Sequence[str]) -> EncodedTags:
+    return EncodedTags.build(wrap_tensors(params, trainable=False), params.config,
+                             [_tag_tokens(t, vocab) for t in tags])
 
 
 def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
@@ -400,13 +343,18 @@ def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
     between the entity embedding and the encoded tag. Scores are comparable
     across tags for one entity; evaluation consumes ranks.
 
-    ``score_tag_matrix`` passes ``encoded``, its one
-    ``EncodedTags.build(params, vocab, tags)``, for every entity.
+    ``score_tag_matrix`` passes ``encoded``, the tags encoded once, for
+    every entity.
     """
+    if not score_scale > 0:
+        raise DataError(f"score_scale must be > 0, got {score_scale}")
     index = vocab.entity_index(entity_id)  # raises for unknown entities
     if encoded is None:
-        encoded = EncodedTags.build(params, vocab, tags)
-    return encoded.scores(index, score_scale)
+        encoded = _encode_tags(params, vocab, tags)
+    scores = encoded.logits(index, score_scale).data
+    if params.config.variant == "dual":
+        return scores
+    return np.exp(scores.astype(np.float64))
 
 
 def score_tag_matrix(params: ModelParams, vocab: Vocabulary,
@@ -416,7 +364,7 @@ def score_tag_matrix(params: ModelParams, vocab: Vocabulary,
 
     The tags are encoded once for all entities.
     """
-    encoded = EncodedTags.build(params, vocab, tags)
+    encoded = _encode_tags(params, vocab, tags)
     out: dict[str, dict[str, float]] = {}
     for entity_id in entities:
         scores = predict_tag_scores(params, vocab, entity_id, tags, score_scale,

@@ -29,6 +29,7 @@ from .errors import DataError
 PAD, CLS, SEP, MASK, UNK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[MASK]", "[UNK]")
 _UNK_MARKER = SPECIAL_TOKENS[UNK]
+_KINDS = ("word", "special", "entity")
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
@@ -119,18 +120,30 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read ``save``'s TSV; DataError at ``path:line`` for a malformed line."""
         vocab = cls()
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh):
+            for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                try:
-                    token, tid, kind = line.split("\t")
-                except ValueError as exc:
-                    raise DataError(f"bad vocabulary line {line_no}: {line!r}") from exc
-                if int(tid) != len(vocab.id_to_token):
-                    raise DataError(f"non-contiguous vocabulary id at line {line_no}")
+                fields = line.split("\t")
+                problem = None
+                if len(fields) != 3:
+                    problem = f"expected token, id and kind, got {line!r}"
+                elif not (fields[1].isascii() and fields[1].isdigit()):
+                    problem = f"id {fields[1]!r} is not a non-negative integer"
+                elif int(fields[1]) != len(vocab):
+                    problem = f"id {fields[1]} is not the next id, {len(vocab)}"
+                elif fields[2] not in _KINDS:
+                    problem = f"kind {fields[2]!r} is not one of {_KINDS}"
+                elif vocab.entity_ids and fields[2] != "entity":
+                    problem = f"{fields[2]} token {fields[0]!r} after the entity block"
+                elif fields[0] in vocab.token_to_id:
+                    problem = f"duplicate token {fields[0]!r}"
+                if problem:
+                    raise DataError(f"{path}:{line_no}: {problem}")
+                token, _, kind = fields
                 vocab._append(token, kind)
                 if kind == "entity":
                     vocab.entity_ids.append(token)
@@ -324,10 +337,6 @@ def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    return [row for _, row in _numbered_jsonl(path)]
-
-
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
@@ -335,12 +344,16 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
 
 
 def read_raw_reviews(path: str | Path) -> list[tuple[str, str, str]]:
+    """Review rows; each needs a string entity_id and text, and an
+    entity_name string when it has one."""
     out = []
-    for row in read_jsonl(path):
-        try:
-            out.append((row["entity_id"], row.get("entity_name", ""), row["text"]))
-        except KeyError as exc:
-            raise DataError(f"{path}: review row missing {exc}") from exc
+    for line_no, row in _numbered_jsonl(path):
+        problem = _row_problem(row, entity_id=str, text=str)
+        if problem is None and "entity_name" in row:
+            problem = _row_problem(row, entity_name=str)
+        if problem:
+            raise DataError(f"{path}:{line_no}: {problem}")
+        out.append((row["entity_id"], row.get("entity_name", ""), row["text"]))
     return out
 
 

@@ -17,19 +17,18 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion, mixed_examples
-from textent.encoder import ModelConfig, entity_row, init_params, sentence_row
+from textent.encoder import ModelConfig, init_params
 from textent.evaluation import (EvalConfig, TfidfIndex, average_precision,
                                 evaluate_retrieval, evaluate_tag_scores, mrr,
                                 ndcg_at_k, precision_at_k, recall_at_k, roc_auc,
                                 zero_shot_rank)
-from textent.finetune import (FinetuneConfig, MaskLayout, head_tag_graph,
-                              posterior_tag_graph, run_finetune, score_tag_matrix,
-                              softmax_tag_graph, split_holdout)
+from textent.finetune import (FinetuneConfig, run_finetune, score_tag_matrix,
+                              split_holdout, tag_loss)
 from textent.numerics import grad_check
 from textent.objectives import (TrainingConfig, build_batch, dual_graph,
                                 dual_loss, full_graph, full_loss, hybrid_graph,
                                 hybrid_loss, mask_tokens, pretrain)
-from textent.encoder import mlm_logits, pad_rows
+from textent.encoder import mlm_logits
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
 from textent.text import CLS, MASK, PAD, SEP, tokenize
 
@@ -127,25 +126,19 @@ def test_criterion_1_gradient_integrity(small_world):
     # the fine-tuning losses: tag softmax over dual's cosine, hybrid's
     # masked-word head and full's entity posterior
     tag_tokens = [tokenize(t, vocab) for t in small_world.votes.tags[:6]]
-    rows2, segs2 = zip(*(sentence_row(t, cfg_dual) for t in tag_tokens))
-    ids2, seg_arr2, mask2 = pad_rows(list(rows2), list(segs2))
     check("finetune_softmax", cfg_dual,
-          lambda p: lambda pt: softmax_tag_graph(pt, p.config, ids2, seg_arr2, mask2,
-                                                 1, 2, np.array([1.0, 0.5]), 4.0))
+          lambda p: lambda pt: tag_loss(pt, p.config, tag_tokens, 1, 2,
+                                        np.array([1.0, 0.5]), 4.0))
 
     tags = small_world.votes.tags
     phrases = tags[:4] + [f"{tags[4]} {tags[5]}", f"{tags[6]} unseen {tags[7]}"]
     phrase_tokens = [tokenize(t, vocab) for t in phrases]
-    layout = MaskLayout.for_tags(phrase_tokens, cfg_hyb)
     check("finetune_head", cfg_hyb,
-          lambda p: lambda pt: head_tag_graph(pt, p.config, layout, 1, 2,
-                                              np.array([1.0, 0.5])))
-
-    rows3, segs3 = zip(*(entity_row(MASK, t, cfg_full) for t in phrase_tokens))
-    ids3, seg_arr3, mask3 = pad_rows(list(rows3), list(segs3))
+          lambda p: lambda pt: tag_loss(pt, p.config, phrase_tokens, 1, 2,
+                                        np.array([1.0, 0.5]), 4.0))
     check("finetune_posterior", cfg_full,
-          lambda p: lambda pt: posterior_tag_graph(pt, p.config, ids3, seg_arr3, mask3,
-                                                   3, 2, np.array([1.3, 0.7])))
+          lambda p: lambda pt: tag_loss(pt, p.config, phrase_tokens, 3, 2,
+                                        np.array([1.3, 0.7]), 4.0))
 
     elapsed = time.time() - t0
     ok = all(err < 1e-4 for err in errors.values()) and elapsed < 120

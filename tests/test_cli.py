@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,49 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
+    def test_bad_review_row_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "reviews.jsonl"
+        bad.write_text('{"entity_id": 3, "entity_name": 4, "text": "a b c d e"}\n')
+        assert main(["preprocess", "--input", str(bad),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1: 'entity_id' is 3, not str" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--max-seq-len", "-1"], "max_seq_len must be >= 4, got -1"),
+        (["--max-seq-len", "3"], "max_seq_len must be >= 4, got 3"),
+        (["--ffn-hidden", "-3"], "ffn_hidden must be >= 1, got -3"),
+    ])
+    def test_bad_pretrain_config_is_data_error(self, workdir, tmp_path, capsys, flags,
+                                               problem):
+        data = workdir / "data"
+        assert main(["pretrain", "--corpus", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.tsv"), "--variant", "dual",
+                     "--seed", "1", "--steps", "1", "--out-dir", str(tmp_path / "p")]
+                    + flags) == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["retrieve", "--checkpoint", "{root}/ckpt", "--query", "x", "--score-scale", "-4"],
+        ["evaluate", "--task", "retrieval", "--checkpoint", "{root}/ckpt",
+         "--queries", "{data}/queries.jsonl", "--score-scale", "0"],
+        ["evaluate", "--task", "tags", "--checkpoint", "{root}/ckpt",
+         "--votes", "{data}/votes.jsonl", "--score-scale", "0"],
+        ["finetune", "--checkpoint", "{root}/ckpt", "--votes", "{data}/votes.jsonl",
+         "--seed", "1", "--out-dir", "{tmp}/ft", "--score-scale", "0"],
+        ["finetune", "--checkpoint", "{root}/ckpt", "--votes", "{data}/votes.jsonl",
+         "--seed", "1", "--out-dir", "{tmp}/ft", "--score-scale", "-4"],
+    ], ids=["retrieve", "evaluate-retrieval", "evaluate-tags", "finetune-zero",
+            "finetune-negative"])
+    def test_non_positive_score_scale_is_data_error(self, workdir, tmp_path, capsys,
+                                                    args):
+        args = [a.format(root=workdir, data=workdir / "data", tmp=tmp_path) for a in args]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "score_scale must be > 0" in err and "Traceback" not in err
+        assert not (tmp_path / "ft").exists()
+
     @pytest.mark.parametrize("task, flag, row, problem", [
         ("tags", "--votes", {"entity_id": "e0000", "tag": "t", "votes": "many"},
          "'votes' is 'many'"),
@@ -130,13 +174,20 @@ class TestExitCodes:
         (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
             "file": "tensors/entity_table.bin", "shape": "10x16"}}},
          "tensor 'entity_table' needs a 'file' string and a 'shape' list"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
+            **m["tensors"]["seg_emb"], "file": "../other/tensors/seg_emb.bin"}}},
+         "tensor 'seg_emb' file '../other/tensors/seg_emb.bin' is outside"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
+            **m["tensors"]["seg_emb"], "file": str(Path(__file__).resolve())}}},
+         "tensor 'seg_emb' file"),
     ], ids=["not-json", "unknown-config-key", "config-value-type", "big-endian-dtype", "int-dtype",
             "unknown-version", "unknown-format", "tensors-list", "tensor-without-shape",
-            "tensor-as-list", "shape-not-list"])
+            "tensor-as-list", "shape-not-list", "file-outside", "file-absolute"])
     def test_bad_manifest_is_data_error(self, workdir, tmp_path, capsys, damage,
                                         problem):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workdir / "ckpt", ckpt)
+        shutil.copytree(workdir / "ckpt", tmp_path / "other")  # a readable escape
         manifest = json.loads((ckpt / "manifest.json").read_text())
         damaged = damage(manifest)
         (ckpt / "manifest.json").write_text(
@@ -263,6 +314,26 @@ class TestConfigFile:
         cfg.write_text("no-such-option = 1\n")
         assert main(["generate", "--seed", "1", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "a")]) == 2
+
+    @pytest.mark.parametrize("command, line, problem", [
+        ("pretrain", "steps = abc", "steps = 'abc' is not int"),
+        ("pretrain", "lr = fast", "lr = 'fast' is not float"),
+        ("evaluate", "baseline = bogus",
+         "baseline = 'bogus' is not one of ['tfidf', 'bos', 'toptags']"),
+    ])
+    def test_config_value_its_flag_rejects_is_data_error(self, workdir, tmp_path,
+                                                         capsys, command, line,
+                                                         problem):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n{line}\n")
+        data = workdir / "data"
+        args = {"pretrain": ["--corpus", str(data / "corpus.jsonl"),
+                             "--vocab", str(data / "vocab.tsv"), "--variant", "dual",
+                             "--seed", "1", "--out-dir", str(tmp_path / "p")],
+                "evaluate": ["--task", "retrieval"]}[command]
+        assert main([command, "--config", str(cfg)] + args) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: {problem}" in err and "Traceback" not in err
 
 
 class TestPretrain:

@@ -6,13 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from textent.encoder import (ModelConfig, encode, entity_row, hybrid_mlm_logits,
-                             init_params, pad_rows, sentence_row)
+from textent.encoder import (ModelConfig, encode, hybrid_mlm_logits, init_params,
+                             sentence_row)
 from textent.errors import DataError, TrainingDiverged
-from textent.finetune import (FinetuneConfig, MaskLayout, example_weight,
-                              head_tag_graph, posterior_tag_graph,
-                              predict_tag_scores, run_finetune, sample_negatives,
-                              score_tag_matrix, split_holdout, export_predictions)
+from textent.finetune import (FinetuneConfig, example_weight, predict_tag_scores,
+                              run_finetune, sample_negatives, score_tag_matrix,
+                              split_holdout, export_predictions, tag_loss)
 from textent.numerics import grad_check
 from textent.objectives import TrainingConfig, pretrain
 from textent.text import MASK, tokenize
@@ -234,7 +233,7 @@ class TestScoreTagMatrix:
 
 class TestFinetuneGradients:
     """Central differences on the hybrid and full fine-tuning losses, one
-    graph per test (acceptance criterion 1 checks all three together)."""
+    variant per test (acceptance criterion 1 checks all three together)."""
 
     @staticmethod
     def _check(cfg, loss_fn):
@@ -247,20 +246,18 @@ class TestFinetuneGradients:
         phrases = tags[:4] + [f"{tags[4]} {tags[5]}", f"{tags[6]} unseen {tags[7]}"]
         return [tokenize(t, small_world.vocab) for t in phrases]
 
-    def test_head_tag_graph(self, small_world, tiny_configs):
+    def test_hybrid_tag_loss(self, small_world, tiny_configs):
         cfg = tiny_configs["hybrid"]
-        layout = MaskLayout.for_tags(self._tag_tokens(small_world), cfg)
-        err = self._check(cfg, lambda p: lambda pt: head_tag_graph(
-            pt, p.config, layout, 1, 2, np.array([1.0, 0.5])))
+        tokens = self._tag_tokens(small_world)
+        err = self._check(cfg, lambda p: lambda pt: tag_loss(
+            pt, p.config, tokens, 1, 2, np.array([1.0, 0.5]), 4.0))
         assert err < 1e-4
 
-    def test_posterior_tag_graph(self, small_world, tiny_configs):
+    def test_full_tag_loss(self, small_world, tiny_configs):
         cfg = tiny_configs["full"]
-        rows, segs = zip(*(entity_row(MASK, t, cfg)
-                           for t in self._tag_tokens(small_world)))
-        ids, seg_arr, mask = pad_rows(list(rows), list(segs))
-        err = self._check(cfg, lambda p: lambda pt: posterior_tag_graph(
-            pt, p.config, ids, seg_arr, mask, 3, 2, np.array([1.3, 0.7])))
+        tokens = self._tag_tokens(small_world)
+        err = self._check(cfg, lambda p: lambda pt: tag_loss(
+            pt, p.config, tokens, 3, 2, np.array([1.3, 0.7]), 4.0))
         assert err < 1e-4
 
 

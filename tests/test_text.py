@@ -10,7 +10,7 @@ from textent.errors import DataError
 from textent.text import (CLS, MASK, PAD, SEP, UNK, CorpusExample, Query,
                           TagVotes, Vocabulary, build_vocab, extend_with_entities,
                           normalize_words, preprocess, read_corpus, read_queries,
-                          read_votes, render_example, tokenize, write_corpus,
+                          read_raw_reviews, read_votes, render_example, tokenize, write_corpus,
                           write_queries, write_votes)
 
 
@@ -76,6 +76,25 @@ class TestVocabulary:
         assert loaded.token_to_id == extended.token_to_id
         assert loaded.kinds == extended.kinds
         assert loaded.entity_ids == ["m1", "m2"]
+
+    @pytest.mark.parametrize("line, problem", [
+        ("extra\t7", "expected token, id and kind"),
+        ("extra\t7\tword\tmore", "expected token, id and kind"),
+        ("extra\tseven\tword", "id 'seven' is not a non-negative integer"),
+        ("extra\t-7\tword", "id '-7' is not a non-negative integer"),
+        ("extra\t9\tword", "id 9 is not the next id, 7"),
+        ("extra\t7\tbogus", "kind 'bogus' is not one of"),
+        ("movie\t7\tword", "duplicate token 'movie'"),
+        ("e1\t7\tentity\nlate\t8\tword", "word token 'late' after the entity block"),
+    ])
+    def test_bad_vocabulary_line_names_file_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "vocab.tsv"
+        Vocabulary.from_words(["the", "movie"]).save(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataError, match=problem) as exc:
+            Vocabulary.load(path)
+        assert f"{path}:{8 + line.count(chr(10))}:" in str(exc.value)
 
 
 class TestEntityExtension:
@@ -188,6 +207,12 @@ class TestFileFormats:
             read_corpus(path)
         assert f"{path}:3:" in str(exc.value)
 
+    def test_raw_reviews_read_with_and_without_entity_name(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"entity_id": "m1", "entity_name": "Up", "text": "a b"}\n'
+                        '{"entity_id": "m2", "text": "c"}\n')
+        assert read_raw_reviews(path) == [("m1", "Up", "a b"), ("m2", "", "c")]
+
     def test_votes_round_trip(self, tmp_path):
         votes = TagVotes()
         votes.add("m1", "funny", 3)
@@ -203,12 +228,20 @@ class TestFileFormats:
         (read_votes, '{"entity_id": "m1", "tag": "t", "votes": 0}', "must be >= 1"),
         (read_queries, '{"relevant_entity_ids": ["m1"]}', "no 'query'"),
         (read_queries, '["dark", ["m1"]]', "not a JSON object"),
+        (read_raw_reviews, '[1, 2]', "row is not a JSON object"),
+        (read_raw_reviews, '{"entity_id": "m2", "text": 5}', "'text' is 5, not str"),
+        (read_raw_reviews, '{"entity_id": 3, "entity_name": 4, "text": "t"}',
+         "'entity_id' is 3, not str"),
+        (read_raw_reviews, '{"entity_id": "m2", "entity_name": 4, "text": "t"}',
+         "'entity_name' is 4, not str"),
+        (read_raw_reviews, '{"entity_id": "m2"}', "row has no 'text'"),
     ])
     def test_bad_vote_or_query_row_names_file_and_line(self, tmp_path, reader, row,
                                                        problem):
         path = tmp_path / "rows.jsonl"
-        good = ('{"entity_id": "m1", "tag": "t", "votes": 1}' if reader is read_votes
-                else '{"query": "q", "relevant_entity_ids": []}')
+        good = {read_votes: '{"entity_id": "m1", "tag": "t", "votes": 1}',
+                read_queries: '{"query": "q", "relevant_entity_ids": []}',
+                read_raw_reviews: '{"entity_id": "m1", "text": "fine"}'}[reader]
         path.write_text(good + "\n" + row + "\n")
         with pytest.raises(DataError, match=problem) as exc:
             reader(path)
