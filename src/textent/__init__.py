@@ -20,7 +20,7 @@ from .finetune import (FinetuneConfig, FinetuneResult, example_weight,
 from .numerics import (AdamState, adam_step, grad_check, layer_norm, softmax,
                        value_and_grads)
 from .objectives import (LossOutput, MaskedBatch, TrainingConfig, build_batch,
-                         dual_loss, full_loss, hybrid_loss, mask_tokens, pretrain)
+                         mask_tokens, pretrain, pretrain_loss)
 from .synthetic import SyntheticWorld, SyntheticWorldSpec, generate_synthetic
 from .text import (CorpusExample, Query, TagVotes, Vocabulary, build_vocab,
                    extend_with_entities, preprocess, tokenize)

@@ -1,9 +1,9 @@
 """Command-line entry point wiring the pipeline end to end.
 
 Subcommands: generate, preprocess, pretrain, finetune, evaluate, retrieve,
-export. Every flag can also come from a config file of ``key = value``
-lines (``#`` comments allowed); explicit flags win over the file. Logs go
-to stderr; data goes to files or stdout only.
+export. Every flag, required ones included, can also come from a config
+file of ``key = value`` lines (``#`` comments allowed); explicit flags win
+over the file. Logs go to stderr; data goes to files or stdout only.
 
 Exit codes: 0 success, 1 usage error, 2 data or numeric error.
 """
@@ -35,15 +35,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for line_no, line in text.numbered_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -93,12 +92,18 @@ def _require(args, *flags: str) -> None:
             raise DataError(f"{run} needs --{flag.replace('_', '-')}")
 
 
+def _at_least_one(args, flag: str) -> None:
+    value = getattr(args, flag)
+    if value < 1:
+        raise DataError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _read_split(path) -> dict:
     """The ``split.json`` that ``finetune`` writes, as a JSON object."""
     try:
         with open(path, encoding="utf-8") as fh:
             split = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(split, dict):
         raise DataError(f"{path} is not a JSON object")
@@ -152,9 +157,9 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     raw = text.read_raw_reviews(args.input)
-    examples, vocab = text.preprocess(
-        raw, min_words=args.min_words, min_reviews=args.min_reviews,
-        max_seq_len=args.max_seq_len, min_freq=args.min_freq)
+    flags = {k: v for k, v in vars(args).items() if v is not None
+             and k in ("min_words", "min_reviews", "max_seq_len", "min_freq")}
+    examples, vocab = text.preprocess(raw, **flags)  # unset flags: its defaults
     entity_ids = sorted({ex.entity_id for ex in examples})
     vocab = text.extend_with_entities(vocab, entity_ids)
     out = Path(args.out_dir)
@@ -178,8 +183,7 @@ def cmd_pretrain(args) -> int:
     corpus = text.read_corpus(args.corpus)
     model_cfg = _model_config_from_args(args, vocab)
     train_cfg = objectives.TrainingConfig(**_set_fields(objectives.TrainingConfig, args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out_dir)  # the final checkpoint creates it
     params, metrics = objectives.pretrain(corpus, vocab, model_cfg, train_cfg,
                                           out_dir=out)
     vocab.save(out / "vocab.tsv")
@@ -227,6 +231,7 @@ def cmd_evaluate(args) -> int:
     base = evaluation.EvalConfig()
     _defaults(args, threshold=base.threshold, bos_aggregation=base.bos_aggregation,
               score_scale=ft.FinetuneConfig().score_scale, top_k_dump=20)
+    _at_least_one(args, "top_k_dump")
     eval_cfg = evaluation.EvalConfig(threshold=args.threshold,
                                      bos_aggregation=args.bos_aggregation)
     rows: list[dict]
@@ -300,6 +305,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_retrieve(args) -> int:
     _defaults(args, k=10, score_scale=ft.FinetuneConfig().score_scale)
+    _at_least_one(args, "k")
     params, vocab = _load_model(args)
     ranked = evaluation.zero_shot_rank(params, vocab, args.query, args.score_scale)
     sys.stdout.write("rank\tentity_id\tscore\n")
@@ -325,10 +331,19 @@ def cmd_export(args) -> int:
 # -- argument wiring ----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed_required: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, fn, *required: str) -> None:
+    """--config and --seed, the command, and the flags (argument dests) it
+    requires. ``main`` checks those after reading --config, so the file can
+    supply them; argparse's own check runs before."""
     p.add_argument("--config", help="key = value config file; flags win")
-    p.add_argument("--seed", type=int, required=False, default=None,
-                   help="run seed" + (" (required)" if seed_required else ""))
+    p.add_argument("--seed", type=int, default=None, help="run seed")
+    p.set_defaults(fn=fn, _parser=p, _required=required)
+
+
+def _missing(args) -> list[str]:
+    """The required flags that neither the command line nor --config set."""
+    return ["/".join(a.option_strings) for a in args._parser._actions
+            if a.dest in args._required and getattr(args, a.dest) is None]
 
 
 def build_parser() -> _Parser:
@@ -337,8 +352,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("generate", help="write a synthetic corpus", parents=[])
-    _add_common(p, seed_required=True)
-    p.add_argument("--out-dir", required=True)
+    _add_common(p, cmd_generate, "seed", "out_dir")
+    p.add_argument("--out-dir")
     p.add_argument("--entities", type=int, default=None)
     p.add_argument("--attribute-vocab", type=int, default=None)
     p.add_argument("--attributes-per-entity", type=int, default=None)
@@ -347,24 +362,21 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-ratio", type=float, default=None)
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--distractor-ratio", type=float, default=None)
-    p.set_defaults(fn=cmd_generate, _seed_required=True, _parser=p)
 
     p = sub.add_parser("preprocess", help="filter and tokenize raw reviews")
-    _add_common(p)
-    p.add_argument("--input", required=True, help="raw reviews JSONL")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--min-words", type=int, default=5)
-    p.add_argument("--min-reviews", type=int, default=5)
-    p.add_argument("--max-seq-len", type=int, default=64)
-    p.add_argument("--min-freq", type=int, default=1)
-    p.set_defaults(fn=cmd_preprocess, _seed_required=False, _parser=p)
+    _add_common(p, cmd_preprocess, "input", "out_dir")
+    p.add_argument("--input", help="raw reviews JSONL")
+    p.add_argument("--out-dir")
+    for flag, default in (("--min-words", 5), ("--min-reviews", 5),
+                          ("--max-seq-len", 64), ("--min-freq", 1)):
+        p.add_argument(flag, type=int, default=None, help=f"default {default}")
 
     p = sub.add_parser("pretrain", help="train a variant on a corpus")
-    _add_common(p, seed_required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--variant", required=True, choices=("dual", "full", "hybrid"))
-    p.add_argument("--out-dir", required=True)
+    _add_common(p, cmd_pretrain, "seed", "corpus", "vocab", "variant", "out_dir")
+    p.add_argument("--corpus")
+    p.add_argument("--vocab")
+    p.add_argument("--variant", choices=("dual", "full", "hybrid"))
+    p.add_argument("--out-dir")
     for flag, typ in (("--steps", int), ("--batch-size", int), ("--lr", float),
                       ("--word-mask-rate", float), ("--entity-mask-rate", float),
                       ("--loss-mix", float), ("--score-scale", float),
@@ -373,24 +385,22 @@ def build_parser() -> _Parser:
                       ("--entity-dim", int), ("--checkpoint-every", int),
                       ("--log-every", int)):
         p.add_argument(flag, type=typ, default=None)
-    p.set_defaults(fn=cmd_pretrain, _seed_required=True, _parser=p)
 
     p = sub.add_parser("finetune", help="tag-prediction fine-tuning")
-    _add_common(p, seed_required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--votes", required=True)
+    _add_common(p, cmd_finetune, "seed", "checkpoint", "votes", "out_dir")
+    p.add_argument("--checkpoint")
+    p.add_argument("--votes")
     p.add_argument("--vocab", default=None)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir")
     p.add_argument("--protocol", choices=("closed", "open"), default=None)
     for flag, typ in (("--epochs", int), ("--lr", float), ("--negative-rate", float),
                       ("--holdout-fraction", float), ("--score-scale", float)):
         p.add_argument(flag, type=typ, default=None)
     p.add_argument("--weight-mode", choices=("linear", "log1p"), default=None)
-    p.set_defaults(fn=cmd_finetune, _seed_required=True, _parser=p)
 
     p = sub.add_parser("evaluate", help="metrics for models and baselines")
-    _add_common(p)
-    p.add_argument("--task", required=True, choices=("tags", "retrieval"))
+    _add_common(p, cmd_evaluate, "task")
+    p.add_argument("--task", choices=("tags", "retrieval"))
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--vocab", default=None)
     p.add_argument("--votes", default=None)
@@ -404,23 +414,24 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="report JSONL path (default stdout)")
     p.add_argument("--dump-dir", default=None)
     p.add_argument("--top-k-dump", type=int, default=None)
-    p.set_defaults(fn=cmd_evaluate, _seed_required=False, _parser=p)
 
     p = sub.add_parser("retrieve", help="rank entities for one query")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
+    _add_common(p, cmd_retrieve, "checkpoint", "query")
+    p.add_argument("--checkpoint")
     p.add_argument("--vocab", default=None)
-    p.add_argument("--query", required=True)
+    p.add_argument("--query")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--score-scale", type=float, default=None)
-    p.set_defaults(fn=cmd_retrieve, _seed_required=False, _parser=p)
 
     p = sub.add_parser("export", help="write entity embeddings as TSV")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
+    _add_common(p, cmd_export, "checkpoint", "out")
+    p.add_argument("--checkpoint")
     p.add_argument("--vocab", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_export, _seed_required=False, _parser=p)
+    p.add_argument("--out")
+    for command in sub.choices.values():
+        for action in command._actions:
+            if action.dest in command.get_default("_required"):
+                action.help = " ".join(filter(None, (action.help, "(required)")))
     return parser
 
 
@@ -434,8 +445,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         _apply_config_file(args, args._parser)
-        if getattr(args, "_seed_required", False) and args.seed is None:
-            sys.stderr.write(f"textent {args.command}: error: --seed is required\n")
+        missing = _missing(args)
+        if missing:
+            args._parser.print_usage(sys.stderr)
+            sys.stderr.write(f"{args._parser.prog}: error: the following arguments "
+                             f"are required: {', '.join(missing)}\n")
             return 1
         if args.seed is None:
             args.seed = 0

@@ -458,7 +458,7 @@ def _read_manifest(directory: Path) -> dict:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"no checkpoint manifest in {directory}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{path} is not a JSON object")

@@ -10,6 +10,10 @@ Three losses over the shared encoder:
   hybrid  the dual term plus a masked-word term whose prediction input is
           the hidden state concatenated with the row's entity embedding
 
+Each is one graph, ``<variant>_graph(pt, config, batch, train)``, that
+returns the total loss with the realized entity and word terms;
+``pretrain_loss`` takes the value and gradients of the model's variant's.
+
 Cosine scores are multiplied by a score scale before the softmax; raw
 cosines in [-1, 1] make the softmax nearly flat. The scale is monotone, so
 it never changes how entities rank. It does bound the loss from below:
@@ -26,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,11 +59,8 @@ class TrainingConfig:
     steps: int = 2000
     seed: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     checkpoint_every: int = 0   # 0: final checkpoint only
-    log_every: int = 100
+    log_every: int = 100        # 0: no progress log
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.steps < 0:
@@ -71,6 +72,10 @@ class TrainingConfig:
             raise DataError("loss_mix must be >= 0")
         if self.score_scale <= 0:
             raise DataError("score_scale must be > 0")
+        for name in ("checkpoint_every", "log_every"):
+            value = getattr(self, name)
+            if value < 0:
+                raise DataError(f"{name} must be >= 0 (0: off), got {value}")
 
 
 @dataclass
@@ -220,54 +225,29 @@ def _word_mask_indices(batch: MaskedBatch) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, cols, labels
 
 
-def _loss_output(params: ModelParams,
-                 graph: Callable[[dict[str, Tensor]], tuple[Tensor | None, float, float]]
-                 ) -> LossOutput:
-    """Value and gradients of one loss, through ``value_and_grads``.
-
-    ``graph`` maps the parameter tensors to (total, entity term, word
-    term). A ``None`` total, which ``full_graph`` returns when no term
-    carries weight, is a loss of 0 with all-zero gradients.
-    """
-    terms = {}
-
-    def loss_fn(pt: dict[str, Tensor]) -> Tensor:
-        total, terms["entity"], terms["mlm"] = graph(pt)
-        return autodiff.constant(0.0) if total is None else total
-
-    value, grads = value_and_grads(loss_fn, params.tensors)
-    return LossOutput(value, terms["entity"], terms["mlm"], grads)
-
-
-def dual_graph(pt: dict[str, Tensor], config: ModelConfig,
-               batch: MaskedBatch, score_scale: float) -> Tensor:
-    """The dual objective as a live graph over parameter tensors."""
-    hidden, _ = encode_tensors(pt, config, batch.input_ids,
-                               batch.segment_ids, batch.pad_mask)
-    return _dual_term(pt, hidden, batch, score_scale)
-
-
-def dual_loss(batch: MaskedBatch, params: ModelParams,
-              score_scale: float = 16.0) -> LossOutput:
+def dual_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
+               train: TrainingConfig) -> tuple[Tensor, float, float]:
     """In-batch-negative softmax loss; the candidate set is the batch's
     unique entities, so a batch of one is a free win (loss 0)."""
-    def graph(pt):
-        loss = dual_graph(pt, params.config, batch, score_scale)
-        return loss, float(loss.data), 0.0
-
-    return _loss_output(params, graph)
+    hidden, _ = encode_tensors(pt, config, batch.input_ids,
+                               batch.segment_ids, batch.pad_mask)
+    loss = _dual_term(pt, hidden, batch, train.score_scale)
+    return loss, float(loss.data), 0.0
 
 
 def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
-               loss_mix: float) -> tuple[Tensor | None, float, float]:
-    """Total graph plus the realized (entity, word) term values.
+               train: TrainingConfig) -> tuple[Tensor, float, float]:
+    """Entity-prediction plus masked-word cross-entropy over the extended
+    vocabulary; each term is averaged over its own count and an absent term
+    contributes zero.
 
-    Returns (None, 0, 0) when nothing is masked anywhere.
+    When no term carries weight the total is a constant 0, and when
+    nothing is masked the encoder does not run.
     """
     ent_rows = np.flatnonzero(batch.entity_masked)
     w_rows, w_cols, w_labels = _word_mask_indices(batch)
     if len(ent_rows) == 0 and len(w_rows) == 0:
-        return None, 0.0, 0.0
+        return autodiff.constant(0.0), 0.0, 0.0
     hidden, _ = encode_tensors(pt, config, batch.input_ids,
                                batch.segment_ids, batch.pad_mask)
     terms: list[Tensor] = []
@@ -286,39 +266,24 @@ def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
         h = _flat_gather(hidden, w_rows, w_cols)
         ce = _masked_ce(mlm_head_tensors(pt, h), w_labels)
         mlm_term = float(ce.data)
-        if loss_mix != 0.0:
-            terms.append(ce * loss_mix)
+        if train.loss_mix != 0.0:
+            terms.append(ce * train.loss_mix)
     if not terms:
-        return None, entity_term, mlm_term
+        return autodiff.constant(0.0), entity_term, mlm_term
     total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
     return total, entity_term, mlm_term
 
 
-def full_loss(batch: MaskedBatch, params: ModelParams,
-              loss_mix: float = 1.0) -> LossOutput:
-    """Entity-prediction plus masked-word cross-entropy over the extended
-    vocabulary; each term is averaged over its own count and an absent term
-    contributes zero."""
-    return _loss_output(params, lambda pt: full_graph(pt, params.config, batch, loss_mix))
-
-
-def hybrid_loss(batch: MaskedBatch, params: ModelParams, loss_mix: float = 1.0,
-                score_scale: float = 16.0) -> LossOutput:
+def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
+                 train: TrainingConfig) -> tuple[Tensor, float, float]:
     """Dual term plus masked-word cross-entropy through the concat head.
 
     With no masked positions (or loss_mix 0) this equals the dual loss on
     the same rows exactly.
     """
-    return _loss_output(params, lambda pt: hybrid_graph(pt, params.config, batch,
-                                                        loss_mix, score_scale))
-
-
-def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
-                 loss_mix: float, score_scale: float
-                 ) -> tuple[Tensor, float, float]:
     hidden, _ = encode_tensors(pt, config, batch.input_ids,
                                batch.segment_ids, batch.pad_mask)
-    total = _dual_term(pt, hidden, batch, score_scale)
+    total = _dual_term(pt, hidden, batch, train.score_scale)
     entity_term = float(total.data)
     mlm_term = 0.0
     w_rows, w_cols, w_labels = _word_mask_indices(batch)
@@ -328,9 +293,27 @@ def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
         joined = autodiff.concat([h, ent_vecs], axis=-1)
         ce = _masked_ce(hybrid_head_tensors(pt, joined), w_labels)
         mlm_term = float(ce.data)
-        if loss_mix != 0.0:
-            total = total + ce * loss_mix
+        if train.loss_mix != 0.0:
+            total = total + ce * train.loss_mix
     return total, entity_term, mlm_term
+
+
+def pretrain_loss(batch: MaskedBatch, params: ModelParams,
+                  train: TrainingConfig) -> LossOutput:
+    """Value and gradients of the variant's loss, through ``value_and_grads``.
+
+    The graph is looked up on this module at call time, so a wrapper set on
+    ``objectives.<variant>_graph`` sees every call.
+    """
+    graph = globals()[f"{params.config.variant}_graph"]
+    terms = {}
+
+    def loss_fn(pt: dict[str, Tensor]) -> Tensor:
+        total, terms["entity"], terms["mlm"] = graph(pt, params.config, batch, train)
+        return total
+
+    value, grads = value_and_grads(loss_fn, params.tensors)
+    return LossOutput(value, terms["entity"], terms["mlm"], grads)
 
 
 def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
@@ -360,26 +343,6 @@ def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
 # -- pretraining loop ----------------------------------------------------------------
 
 
-def variant_loss(batch: MaskedBatch, params: ModelParams,
-                 cfg: TrainingConfig) -> LossOutput:
-    v = params.config.variant
-    if v == "dual":
-        return dual_loss(batch, params, cfg.score_scale)
-    if v == "full":
-        return full_loss(batch, params, cfg.loss_mix)
-    if v == "hybrid":
-        return hybrid_loss(batch, params, cfg.loss_mix, cfg.score_scale)
-    raise DataError(f"unknown variant {v!r}")
-
-
-def _batch_rates(variant: str, cfg: TrainingConfig) -> tuple[float, float]:
-    if variant == "dual":
-        return 0.0, 0.0
-    if variant == "full":
-        return cfg.word_mask_rate, cfg.entity_mask_rate
-    return cfg.word_mask_rate, 0.0
-
-
 def pretrain(corpus: Sequence[CorpusExample], vocab: Vocabulary,
              model_config: ModelConfig, train_config: TrainingConfig,
              out_dir=None) -> tuple[ModelParams, list[dict]]:
@@ -397,13 +360,13 @@ def pretrain(corpus: Sequence[CorpusExample], vocab: Vocabulary,
     rng_init = np.random.default_rng(seeds[0])
     rng_data = np.random.default_rng(seeds[1])
     params = init_params(model_config, rng_init)
-    state = AdamState.for_params(params.tensors, lr=train_config.lr,
-                                 beta1=train_config.beta1, beta2=train_config.beta2,
-                                 eps=train_config.adam_eps)
-    if train_config.batch_size == 1 and model_config.variant in ("dual", "hybrid"):
+    state = AdamState.for_params(params.tensors, lr=train_config.lr)
+    variant = model_config.variant
+    if train_config.batch_size == 1 and variant in ("dual", "hybrid"):
         log.warning("batch_size=1 leaves no in-batch negatives; the entity term is 0")
 
-    word_rate, ent_rate = _batch_rates(model_config.variant, train_config)
+    word_rate = 0.0 if variant == "dual" else train_config.word_mask_rate
+    ent_rate = train_config.entity_mask_rate if variant == "full" else 0.0
     n = len(corpus)
     order = rng_data.permutation(n)
     cursor = 0
@@ -418,7 +381,7 @@ def pretrain(corpus: Sequence[CorpusExample], vocab: Vocabulary,
         batch = build_batch(examples, vocab, model_config, rng=rng_data,
                             word_mask_rate=word_rate, entity_mask_rate=ent_rate)
         try:
-            out = variant_loss(batch, params, train_config)
+            out = pretrain_loss(batch, params, train_config)
         except NumericError as exc:
             ids = sorted({ex.entity_id for ex in examples})
             raise TrainingDiverged(f"{exc} at step {step}; batch entities: {ids}") from exc

@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError
 
@@ -122,31 +122,30 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         """Read ``save``'s TSV; DataError at ``path:line`` for a malformed line."""
         vocab = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                problem = None
-                if len(fields) != 3:
-                    problem = f"expected token, id and kind, got {line!r}"
-                elif not (fields[1].isascii() and fields[1].isdigit()):
-                    problem = f"id {fields[1]!r} is not a non-negative integer"
-                elif int(fields[1]) != len(vocab):
-                    problem = f"id {fields[1]} is not the next id, {len(vocab)}"
-                elif fields[2] not in _KINDS:
-                    problem = f"kind {fields[2]!r} is not one of {_KINDS}"
-                elif vocab.entity_ids and fields[2] != "entity":
-                    problem = f"{fields[2]} token {fields[0]!r} after the entity block"
-                elif fields[0] in vocab.token_to_id:
-                    problem = f"duplicate token {fields[0]!r}"
-                if problem:
-                    raise DataError(f"{path}:{line_no}: {problem}")
-                token, _, kind = fields
-                vocab._append(token, kind)
-                if kind == "entity":
-                    vocab.entity_ids.append(token)
+        for line_no, line in numbered_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            problem = None
+            if len(fields) != 3:
+                problem = f"expected token, id and kind, got {line!r}"
+            elif not (fields[1].isascii() and fields[1].isdigit()):
+                problem = f"id {fields[1]!r} is not a non-negative integer"
+            elif int(fields[1]) != len(vocab):
+                problem = f"id {fields[1]} is not the next id, {len(vocab)}"
+            elif fields[2] not in _KINDS:
+                problem = f"kind {fields[2]!r} is not one of {_KINDS}"
+            elif vocab.entity_ids and fields[2] != "entity":
+                problem = f"{fields[2]} token {fields[0]!r} after the entity block"
+            elif fields[0] in vocab.token_to_id:
+                problem = f"duplicate token {fields[0]!r}"
+            if problem:
+                raise DataError(f"{path}:{line_no}: {problem}")
+            token, _, kind = fields
+            vocab._append(token, kind)
+            if kind == "entity":
+                vocab.entity_ids.append(token)
         return vocab
 
 
@@ -322,18 +321,30 @@ class TagVotes:
 # -- file io --------------------------------------------------------------------
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) for every line of a UTF-8 text file; a
+    line that is not UTF-8 is a ``DataError`` at ``path:line``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():  # undecodable bytes became surrogates
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(f"{path}:{line_no}: not UTF-8 text") from exc
+            yield line_no, line
+
+
 def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """(1-based line number, parsed object) for every non-blank line."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append((line_no, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: bad JSON on line {line_no}") from exc
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append((line_no, json.loads(line)))
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            raise DataError(f"{path}: bad JSON on line {line_no}") from exc
     return rows
 
 
@@ -418,10 +429,15 @@ def write_queries(path: str | Path, queries: Iterable[Query]) -> None:
 
 
 def read_queries(path: str | Path) -> list[Query]:
-    """Query rows; each needs a string query and a list relevant_entity_ids."""
+    """Query rows; each needs a string query and a list of string
+    relevant_entity_ids."""
     queries = []
     for line_no, row in _numbered_jsonl(path):
         problem = _row_problem(row, query=str, relevant_entity_ids=list)
+        bad = [] if problem else [e for e in row["relevant_entity_ids"]
+                                  if type(e) is not str]
+        if bad:
+            problem = f"relevant entity id {bad[0]!r} is not a string"
         if problem:
             raise DataError(f"{path}:{line_no}: {problem}")
         queries.append(Query(row["query"], list(row["relevant_entity_ids"])))

@@ -24,10 +24,10 @@ from textent.evaluation import (EvalConfig, TfidfIndex, average_precision,
                                 zero_shot_rank)
 from textent.finetune import (FinetuneConfig, run_finetune, score_tag_matrix,
                               split_holdout, tag_loss)
-from textent.numerics import grad_check
+from textent.numerics import grad_check, value_and_grads
 from textent.objectives import (TrainingConfig, build_batch, dual_graph,
-                                dual_loss, full_graph, full_loss, hybrid_graph,
-                                hybrid_loss, mask_tokens, pretrain)
+                                full_graph, hybrid_graph, mask_tokens, pretrain,
+                                pretrain_loss)
 from textent.encoder import mlm_logits
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
 from textent.text import CLS, MASK, PAD, SEP, tokenize
@@ -109,19 +109,20 @@ def test_criterion_1_gradient_integrity(small_world):
     cfg_dual = ModelConfig.for_vocab(vocab, "dual", **toy)
     cfg_full = ModelConfig.for_vocab(vocab, "full", **toy)
     cfg_hyb = ModelConfig.for_vocab(vocab, "hybrid", **toy)
+    train = TrainingConfig(score_scale=4.0, loss_mix=0.7)
 
     batch_plain = build_batch(examples, vocab, cfg_dual)
     check("dual", cfg_dual,
-          lambda p: lambda pt: dual_graph(pt, p.config, batch_plain, 4.0))
+          lambda p: lambda pt: dual_graph(pt, p.config, batch_plain, train)[0])
 
     batch_full = build_batch(examples, vocab, cfg_full, rng=rng0,
                              word_mask_rate=0.4, entity_mask_rate=0.5)
     check("full", cfg_full,
-          lambda p: lambda pt: full_graph(pt, p.config, batch_full, 0.7)[0])
+          lambda p: lambda pt: full_graph(pt, p.config, batch_full, train)[0])
 
     batch_hyb = build_batch(examples, vocab, cfg_hyb, rng=rng0, word_mask_rate=0.4)
     check("hybrid", cfg_hyb,
-          lambda p: lambda pt: hybrid_graph(pt, p.config, batch_hyb, 0.7, 4.0)[0])
+          lambda p: lambda pt: hybrid_graph(pt, p.config, batch_hyb, train)[0])
 
     # the fine-tuning losses: tag softmax over dual's cosine, hybrid's
     # masked-word head and full's entity posterior
@@ -244,8 +245,11 @@ def test_criterion_3_loss_identities(small_world, tiny_configs):
     cfg_h = tiny_configs["hybrid"]
     params_h = init_params(cfg_h, seed=1)
     batch = build_batch(mixed_examples(small_world, 5), vocab, cfg_h)
-    checks["hybrid==dual"] = (hybrid_loss(batch, params_h).value
-                              == dual_loss(batch, params_h).value)
+    train = TrainingConfig()
+    checks["hybrid==dual"] = (
+        pretrain_loss(batch, params_h, train).value
+        == value_and_grads(lambda pt: dual_graph(pt, cfg_h, batch, train)[0],
+                           params_h.tensors)[0])
 
     # full with loss_mix 0 equals the entity-token cross-entropy (exact)
     cfg_f = tiny_configs["full"]
@@ -253,7 +257,7 @@ def test_criterion_3_loss_identities(small_world, tiny_configs):
     rng = np.random.default_rng(3)
     batch_f = build_batch(mixed_examples(small_world, 5), vocab, cfg_f, rng=rng,
                           word_mask_rate=0.3, entity_mask_rate=1.0)
-    out = full_loss(batch_f, params_f, loss_mix=0.0)
+    out = pretrain_loss(batch_f, params_f, TrainingConfig(loss_mix=0.0))
     checks["full-lam0"] = out.value == out.entity_term
     # and the entity term matches an independent exp-normalize of realized logits
     ces = []
@@ -272,13 +276,13 @@ def test_criterion_3_loss_identities(small_world, tiny_configs):
     cfg_d = tiny_configs["dual"]
     params_d = init_params(cfg_d, seed=4)
     single = build_batch(small_world.corpus[:1], vocab, cfg_d)
-    checks["b1-zero"] = dual_loss(single, params_d).value == 0.0
+    checks["b1-zero"] = pretrain_loss(single, params_d, train).value == 0.0
 
     # identical scores over B distinct entities: log B within 1e-6
     params_u = init_params(cfg_d, seed=5, dtype=np.float64)
     params_u.tensors["entity_table"][:] = params_u.tensors["entity_table"][0]
     batch_u = build_batch(mixed_examples(small_world, 4), vocab, cfg_d)
-    checks["uniform-logB"] = abs(dual_loss(batch_u, params_u).value
+    checks["uniform-logB"] = abs(pretrain_loss(batch_u, params_u, train).value
                                  - math.log(4)) < 1e-6
 
     ok = all(checks.values())

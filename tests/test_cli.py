@@ -144,6 +144,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:1: {problem}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args, problem", [
+        (["pretrain", "--checkpoint-every", "-1"], "checkpoint_every must be >= 0"),
+        (["pretrain", "--log-every", "-1"], "log_every must be >= 0"),
+        (["retrieve", "--k", "-1"], "--k must be >= 1, got -1"),
+        (["retrieve", "--k", "0"], "--k must be >= 1, got 0"),
+        (["evaluate", "--task", "retrieval", "--queries", "{data}/queries.jsonl",
+          "--dump-dir", "{tmp}/out", "--top-k-dump", "0"],
+         "--top-k-dump must be >= 1, got 0"),
+    ], ids=["checkpoint-every", "log-every", "k-negative", "k-zero", "top-k-dump"])
+    def test_negative_interval_or_count_is_data_error(self, workdir, tmp_path, capsys,
+                                                      args, problem):
+        data = workdir / "data"
+        run = {"pretrain": ["--corpus", str(data / "corpus.jsonl"),
+                            "--vocab", str(data / "vocab.tsv"), "--variant", "dual",
+                            "--seed", "1", "--steps", "3", "--out-dir", "{tmp}/out"],
+               "retrieve": ["--checkpoint", str(workdir / "ckpt"), "--query", "x"],
+               "evaluate": ["--checkpoint", str(workdir / "ckpt")]}[args[0]]
+        args = [a.format(data=data, tmp=tmp_path) for a in args + run]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and problem in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_without_config_is_data_error(self, workdir, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workdir / "ckpt", ckpt)
@@ -156,6 +180,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage, problem", [
         (lambda m: "{not json", "is not valid JSON"),
+        (lambda m: '{"format": "caf\udce9"}', "is not valid JSON"),
+        (lambda m: "[" * 100_000, "is not valid JSON"),
         (lambda m: {**m, "config": {**m["config"], "dropout": 0.1}},
          "unknown config keys ['dropout']"),
         (lambda m: {**m, "config": {**m["config"], "hidden": "16"}},
@@ -180,7 +206,7 @@ class TestExitCodes:
         (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
             **m["tensors"]["seg_emb"], "file": str(Path(__file__).resolve())}}},
          "tensor 'seg_emb' file"),
-    ], ids=["not-json", "unknown-config-key", "config-value-type", "big-endian-dtype", "int-dtype",
+    ], ids=["not-json", "not-utf8", "deep-nesting", "unknown-config-key", "config-value-type", "big-endian-dtype", "int-dtype",
             "unknown-version", "unknown-format", "tensors-list", "tensor-without-shape",
             "tensor-as-list", "shape-not-list", "file-outside", "file-absolute"])
     def test_bad_manifest_is_data_error(self, workdir, tmp_path, capsys, damage,
@@ -190,8 +216,9 @@ class TestExitCodes:
         shutil.copytree(workdir / "ckpt", tmp_path / "other")  # a readable escape
         manifest = json.loads((ckpt / "manifest.json").read_text())
         damaged = damage(manifest)
-        (ckpt / "manifest.json").write_text(
-            damaged if isinstance(damaged, str) else json.dumps(damaged))
+        (ckpt / "manifest.json").write_text(  # a surrogate writes one raw byte
+            damaged if isinstance(damaged, str) else json.dumps(damaged),
+            errors="surrogateescape")
         assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
         err = capsys.readouterr().err
         assert f"{ckpt / 'manifest.json'}" in err and problem in err
@@ -199,16 +226,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("split, baseline, problem", [
         ("{not json", "toptags", "is not valid JSON"),
+        ('{"protocol": "caf\udce9"}', "toptags", "is not valid JSON"),
+        ("[" * 100_000, "toptags", "is not valid JSON"),
         ({"protocol": "open", "train_tags": []}, "toptags", "has no 'held_tags' list"),
         ({"protocol": "closed", "train_entities": []}, "toptags",
          "has no 'held_entities' list"),
         ({"protocol": "closed", "held_entities": ["e0000"]}, "toptags",
          "has no 'train_entities' list"),
-    ], ids=["not-json", "no-held-tags", "no-held-entities", "no-train-entities"])
+    ], ids=["not-json", "not-utf8", "deep-nesting", "no-held-tags", "no-held-entities",
+            "no-train-entities"])
     def test_bad_split_is_data_error(self, workdir, tmp_path, capsys, split, baseline,
                                      problem):
         path = tmp_path / "split.json"
-        path.write_text(split if isinstance(split, str) else json.dumps(split))
+        path.write_text(split if isinstance(split, str) else json.dumps(split),
+                        errors="surrogateescape")  # a surrogate writes one raw byte
         assert main(["evaluate", "--task", "tags", "--baseline", baseline,
                      "--votes", str(workdir / "data" / "votes.jsonl"),
                      "--split", str(path)]) == 2
@@ -314,6 +345,50 @@ class TestConfigFile:
         cfg.write_text("no-such-option = 1\n")
         assert main(["generate", "--seed", "1", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "a")]) == 2
+
+    def test_config_supplies_required_flags(self, workdir, tmp_path):
+        data = workdir / "data"
+        _pretrain(data, tmp_path / "flags", steps=3, seed="3", variant="dual")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = dual\nseed = 3\n")
+        assert main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--vocab", str(data / "vocab.tsv"), "--steps", "3",
+                     "--out-dir", str(tmp_path / "file")] + TRAIN_ARGS) == 0
+        a, b = (load_checkpoint(tmp_path / run) for run in ("flags", "file"))
+        assert a.config == b.config and set(a.tensors) == set(b.tensors)
+        for name in a.tensors:
+            np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+
+    def test_required_flag_set_nowhere_is_usage_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        data = workdir / "data"
+        assert main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--out-dir", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert "textent pretrain: error: the following arguments are required: " \
+               "--vocab, --variant" in err
+        assert not (tmp_path / "p").exists()
+
+    def test_config_supplies_preprocess_flags(self, tmp_path):
+        raw = tmp_path / "reviews.jsonl"
+        raw.write_text("".join(
+            json.dumps({"entity_id": f"m{e}", "text": f"review {i} says movie {e} is good"})
+            + "\n" for e in range(3) for i in range(6)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_reviews = 7\n")
+
+        def corpus(*flags):
+            out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+            assert main(["preprocess", "--input", str(raw), "--out-dir", str(out),
+                         *flags]) == 0
+            return (out / "corpus.jsonl").read_bytes()
+
+        from_file = corpus("--config", str(cfg))
+        assert from_file == corpus("--min-reviews", "7") == b""
+        assert corpus() != b""
 
     @pytest.mark.parametrize("command, line, problem", [
         ("pretrain", "steps = abc", "steps = 'abc' is not int"),

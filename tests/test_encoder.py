@@ -15,7 +15,7 @@ from textent.encoder import (ENTITY_POSITION, ModelConfig,
                              sentence_row, wrap_tensors)
 from textent.errors import DataError, NumericError
 from textent.numerics import softmax, value_and_grads
-from textent.objectives import TrainingConfig, build_batch, variant_loss
+from textent.objectives import TrainingConfig, build_batch, pretrain_loss
 
 from conftest import (encode_tensors_composed, hybrid_head_composed,
                       hybrid_mlm_logits_ref, mixed_examples, mlm_head_composed,
@@ -421,11 +421,11 @@ class TestFusedNodesMatchComposedChain:
         params = init_params(cfg, seed=7)
         batch = self._batch(small_world, cfg, rows)
         train = TrainingConfig(score_scale=16.0, loss_mix=0.7)
-        fused = variant_loss(batch, params, train)
+        fused = pretrain_loss(batch, params, train)
         monkeypatch.setattr(objectives, "encode_tensors", encode_tensors_composed)
         monkeypatch.setattr(objectives, "mlm_head_tensors", mlm_head_composed)
         monkeypatch.setattr(objectives, "hybrid_head_tensors", hybrid_head_composed)
-        chain = variant_loss(batch, params, train)
+        chain = pretrain_loss(batch, params, train)
         assert fused.value == chain.value
         assert set(fused.grads) == set(params.tensors)
         for name, grad in fused.grads.items():
@@ -438,11 +438,9 @@ class TestGradientOwnership:
 
     @staticmethod
     def _graph(variant, config, batch):
-        if variant == "dual":
-            return lambda pt: objectives.dual_graph(pt, config, batch, 16.0)
-        if variant == "full":
-            return lambda pt: objectives.full_graph(pt, config, batch, 0.7)[0]
-        return lambda pt: objectives.hybrid_graph(pt, config, batch, 0.7, 16.0)[0]
+        graph = getattr(objectives, f"{variant}_graph")
+        train = TrainingConfig(score_scale=16.0, loss_mix=0.7)
+        return lambda pt: graph(pt, config, batch, train)[0]
 
     @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
     def test_no_returned_gradient_shares_memory(self, small_world, tiny_configs, variant):

@@ -11,9 +11,10 @@ from textent import objectives
 from textent.encoder import (ENTITY_POSITION, ModelConfig, encode, entity_row,
                              init_params, sentence_row)
 from textent.errors import DataError, TrainingDiverged
-from textent.objectives import (MaskedBatch, TrainingConfig, build_batch,
-                                dual_loss, entity_prediction_accuracy, full_loss,
-                                hybrid_loss, mask_tokens, pretrain)
+from textent.numerics import value_and_grads
+from textent.objectives import (MaskedBatch, TrainingConfig, build_batch, dual_graph,
+                                entity_prediction_accuracy, mask_tokens, pretrain,
+                                pretrain_loss)
 from textent.text import CLS, MASK, PAD, SEP, CorpusExample
 
 
@@ -63,7 +64,7 @@ class TestDualLoss:
         cfg = tiny_configs["dual"]
         params = init_params(cfg, seed=0)
         batch = build_batch(small_world.corpus[:1], small_world.vocab, cfg)
-        out = dual_loss(batch, params)
+        out = pretrain_loss(batch, params, TrainingConfig())
         assert out.value == 0.0
 
     def test_duplicate_entities_collapse_to_zero(self, small_world, tiny_configs):
@@ -71,7 +72,7 @@ class TestDualLoss:
         params = init_params(cfg, seed=0)
         same = [ex for ex in small_world.corpus if ex.entity_id == "e0000"][:4]
         batch = build_batch(same, small_world.vocab, cfg)
-        assert dual_loss(batch, params).value == 0.0
+        assert pretrain_loss(batch, params, TrainingConfig()).value == 0.0
 
     def test_identical_scores_give_log_b(self, small_world, tiny_configs):
         cfg = tiny_configs["dual"]
@@ -80,7 +81,7 @@ class TestDualLoss:
         batch = build_batch(examples, small_world.vocab, cfg)
         # distinct entities, identical embeddings: flat softmax over B candidates
         params.tensors["entity_table"][:] = params.tensors["entity_table"][0]
-        out = dual_loss(batch, params)
+        out = pretrain_loss(batch, params, TrainingConfig())
         assert abs(out.value - math.log(4)) < 1e-6
 
     def test_matches_exp_normalize_oracle(self, small_world, tiny_configs):
@@ -90,7 +91,7 @@ class TestDualLoss:
         vocab = small_world.vocab
         batch = build_batch(examples, vocab, cfg)
         scale = 4.0
-        out = dual_loss(batch, params, score_scale=scale)
+        out = pretrain_loss(batch, params, TrainingConfig(score_scale=scale))
 
         losses = []
         candidates = []
@@ -132,7 +133,7 @@ class TestDualLoss:
         examples = mixed_examples(small_world, 3)
         vocab = small_world.vocab
         batch = build_batch(examples, vocab, cfg)
-        out = dual_loss(batch, params)
+        out = pretrain_loss(batch, params, TrainingConfig())
         present = {vocab.entity_index(ex.entity_id) for ex in examples}
         for e in range(cfg.entity_count):
             row_grad = out.grads["entity_table"][e]
@@ -147,7 +148,7 @@ class TestFullLoss:
         cfg = tiny_configs["full"]
         params = init_params(cfg, seed=0)
         batch = build_batch(small_world.corpus[:3], small_world.vocab, cfg)
-        out = full_loss(batch, params)
+        out = pretrain_loss(batch, params, TrainingConfig())
         assert out.value == 0.0
         assert all(np.all(g == 0) for g in out.grads.values())
 
@@ -156,7 +157,7 @@ class TestFullLoss:
         params = init_params(cfg, seed=0)
         batch = build_batch(mixed_examples(small_world, 4), small_world.vocab, cfg,
                             rng=rng, word_mask_rate=0.4, entity_mask_rate=1.0)
-        out = full_loss(batch, params, loss_mix=0.0)
+        out = pretrain_loss(batch, params, TrainingConfig(loss_mix=0.0))
         assert out.value == out.entity_term
 
     def test_two_term_oracle_from_realized_logits(self, small_world, tiny_configs):
@@ -179,7 +180,7 @@ class TestFullLoss:
             entity_rows=np.asarray([vocab.entity_index(ex.entity_id)]),
             entity_masked=np.asarray([True]))
         lam = 0.7
-        out = full_loss(batch, params, loss_mix=lam)
+        out = pretrain_loss(batch, params, TrainingConfig(loss_mix=lam))
 
         hidden = encode(masked, segs, params).hidden_states
         from textent.encoder import mlm_logits
@@ -196,9 +197,16 @@ class TestFullLoss:
         params = init_params(cfg, seed=0, dtype=np.float64)
         batch = build_batch(mixed_examples(small_world, 3), small_world.vocab, cfg,
                             rng=rng, word_mask_rate=0.5, entity_mask_rate=0.0)
-        out = full_loss(batch, params, loss_mix=1.0)
+        out = pretrain_loss(batch, params, TrainingConfig(loss_mix=1.0))
         assert out.entity_term == 0.0
         assert out.value == out.mlm_term
+
+
+def dual_value(batch, params):
+    """The dual graph's loss on ``params``, whatever their variant."""
+    return value_and_grads(
+        lambda pt: dual_graph(pt, params.config, batch, TrainingConfig())[0],
+        params.tensors)[0]
 
 
 class TestHybridLoss:
@@ -207,7 +215,8 @@ class TestHybridLoss:
         params = init_params(cfg, seed=0)
         examples = mixed_examples(small_world, 4)
         batch = build_batch(examples, small_world.vocab, cfg)
-        assert hybrid_loss(batch, params).value == dual_loss(batch, params).value
+        out = pretrain_loss(batch, params, TrainingConfig())
+        assert out.value == dual_value(batch, params)
 
     def test_loss_mix_zero_equals_dual(self, small_world, tiny_configs, rng):
         cfg = tiny_configs["hybrid"]
@@ -215,8 +224,8 @@ class TestHybridLoss:
         examples = mixed_examples(small_world, 4)
         batch = build_batch(examples, small_world.vocab, cfg, rng=rng,
                             word_mask_rate=0.4)
-        out = hybrid_loss(batch, params, loss_mix=0.0)
-        assert out.value == dual_loss(batch, params).value
+        out = pretrain_loss(batch, params, TrainingConfig(loss_mix=0.0))
+        assert out.value == dual_value(batch, params)
 
     def test_entity_gradient_receives_both_terms(self, small_world, tiny_configs, rng):
         cfg = tiny_configs["hybrid"]
@@ -224,8 +233,9 @@ class TestHybridLoss:
         examples = mixed_examples(small_world, 4)
         vocab = small_world.vocab
         batch = build_batch(examples, vocab, cfg, rng=rng, word_mask_rate=0.5)
-        both = hybrid_loss(batch, params, loss_mix=1.0).grads["entity_table"]
-        dual_only = hybrid_loss(batch, params, loss_mix=0.0).grads["entity_table"]
+        both, dual_only = (
+            pretrain_loss(batch, params, TrainingConfig(loss_mix=mix)).grads["entity_table"]
+            for mix in (1.0, 0.0))
         mlm_part = both - dual_only
         rows = sorted({vocab.entity_index(ex.entity_id) for ex in examples})
         assert np.abs(dual_only[rows]).max() > 0
@@ -292,7 +302,7 @@ class TestPretrain:
         vocab = small_world.vocab
         cfg = ModelConfig.for_vocab(vocab, "dual", layers=1, heads=2, hidden=16,
                                     ffn_hidden=32, entity_dim=16)
-        real = objectives.variant_loss
+        real = objectives.pretrain_loss
         calls = []
 
         def poisoned(*args, **kwargs):
@@ -302,7 +312,7 @@ class TestPretrain:
                 out.grads["entity_table"][0, 0] = np.nan
             return out
 
-        monkeypatch.setattr(objectives, "variant_loss", poisoned)
+        monkeypatch.setattr(objectives, "pretrain_loss", poisoned)
         train = TrainingConfig(batch_size=4, steps=3, seed=0, log_every=0)
         with pytest.raises(TrainingDiverged, match=r"step 2\b.*'entity_table'"):
             pretrain(small_world.corpus, vocab, cfg, train)
@@ -317,6 +327,42 @@ class TestPretrain:
         assert (tmp_path / "run" / "manifest.json").exists()
         assert (tmp_path / "run" / "step_000002" / "manifest.json").exists()
         assert (tmp_path / "run" / "step_000004" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("field", ["checkpoint_every", "log_every"])
+    def test_negative_interval_rejected(self, small_world, tiny_configs, tmp_path,
+                                        field):
+        train = TrainingConfig(batch_size=4, steps=3, **{field: -1})
+        with pytest.raises(DataError, match=f"{field} must be >= 0"):
+            pretrain(small_world.corpus, small_world.vocab, tiny_configs["dual"],
+                     train, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+
+class TestGraphLookup:
+    """``pretrain_loss`` finds each graph on the module when it is called, so
+    a wrapper set there (as the benchmark's tracer sets one) sees every step."""
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    def test_wrapped_graph_runs_once_per_step(self, small_world, tiny_configs,
+                                              monkeypatch, variant):
+        calls = {v: 0 for v in ("dual", "full", "hybrid")}
+        for v in calls:
+            real = getattr(objectives, f"{v}_graph")
+
+            def counting(*args, _v=v, _real=real):
+                calls[_v] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(objectives, f"{v}_graph", counting)
+        cfg = tiny_configs[variant]
+        train = TrainingConfig(batch_size=4, steps=3, seed=0, log_every=0)
+        batch = build_batch(mixed_examples(small_world, 4), small_world.vocab, cfg,
+                            rng=np.random.default_rng(0), word_mask_rate=0.3,
+                            entity_mask_rate=0.5)
+        pretrain_loss(batch, init_params(cfg, seed=0), train)
+        assert calls == {v: int(v == variant) for v in calls}
+        pretrain(small_world.corpus, small_world.vocab, cfg, train)
+        assert calls == {v: (1 + train.steps) * (v == variant) for v in calls}
 
 
 class TestEntityAccuracy:

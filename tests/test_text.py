@@ -1,5 +1,6 @@
 """Tokenizer, vocabulary, preprocessing, and file-format tests."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -228,6 +229,10 @@ class TestFileFormats:
         (read_votes, '{"entity_id": "m1", "tag": "t", "votes": 0}', "must be >= 1"),
         (read_queries, '{"relevant_entity_ids": ["m1"]}', "no 'query'"),
         (read_queries, '["dark", ["m1"]]', "not a JSON object"),
+        (read_queries, '{"query": "q", "relevant_entity_ids": [1, null]}',
+         "relevant entity id 1 is not a string"),
+        (read_queries, '{"query": "q", "relevant_entity_ids": ["m1", null]}',
+         "relevant entity id None is not a string"),
         (read_raw_reviews, '[1, 2]', "row is not a JSON object"),
         (read_raw_reviews, '{"entity_id": "m2", "text": 5}', "'text' is 5, not str"),
         (read_raw_reviews, '{"entity_id": 3, "entity_name": 4, "text": "t"}',
@@ -247,6 +252,19 @@ class TestFileFormats:
             reader(path)
         assert f"{path}:2:" in str(exc.value)
 
+    @pytest.mark.parametrize("reader", [read_corpus, read_votes, read_queries,
+                                        read_raw_reviews])
+    @pytest.mark.parametrize("line, problem", [
+        (b'{"entity_id": "caf\xe9"}', r":2: not UTF-8 text"),
+        (b"[" * 100_000, r": bad JSON on line 2"),
+    ], ids=["latin-1", "deep-nesting"])
+    def test_unreadable_line_names_file_and_line(self, tmp_path, reader, line,
+                                                 problem):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n" + line + b"\n")
+        with pytest.raises(DataError, match=problem):
+            reader(path)
+
     def test_queries_round_trip(self, tmp_path):
         qs = [Query("dark surreal movie", ["m1", "m2"])]
         write_queries(tmp_path / "q.jsonl", qs)
@@ -264,3 +282,51 @@ def test_normalize_words_lowercase_alnum(texts):
         for w in normalize_words(t):
             assert w == w.lower()
             assert w.replace("[UNK]", "a").isalnum() or w == "[UNK]"
+
+
+# -- readers never fail with anything but DataError ---------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_READER_KEYS = {read_corpus: ("entity_id", "tokens"),
+                read_votes: ("entity_id", "tag", "votes"),
+                read_queries: ("query", "relevant_entity_ids"),
+                read_raw_reviews: ("entity_id", "entity_name", "text")}
+_NOT_UTF8 = st.binary(max_size=12).map(lambda b: b + b"\xff")  # never UTF-8
+
+
+def _jsonl_lines(keys):
+    row = st.dictionaries(st.sampled_from(keys) | st.text(max_size=4), _JSON,
+                          max_size=len(keys) + 1)
+    return (row | _JSON).map(lambda v: json.dumps(v).encode()) | _NOT_UTF8
+
+
+_TSV_FIELD = st.sampled_from(["word", "special", "entity", "[PAD]", "a", "0", "1",
+                              "2", "-1", "\u0663"]) | st.text(max_size=5)
+_TSV_LINES = st.lists(_TSV_FIELD, min_size=1, max_size=4).map(
+    lambda fields: "\t".join(fields).encode()) | _NOT_UTF8
+
+
+@pytest.mark.parametrize("reader", [*_READER_KEYS, Vocabulary.load],
+                         ids=lambda r: r.__qualname__)
+def test_reader_parses_or_raises_data_error(reader, tmp_path_factory):
+    """A file of arbitrary JSON rows (TSV lines for the vocabulary), some
+    with the reader's own keys, and lines that are not UTF-8 either loads
+    or raises ``DataError``; nothing else escapes."""
+    path = tmp_path_factory.mktemp("fuzz") / "rows"
+    keys = _READER_KEYS.get(reader)
+    lines = _TSV_LINES if keys is None else _jsonl_lines(keys)
+
+    @given(st.lists(lines, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def check(rows):
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        try:
+            reader(path)
+        except DataError:
+            pass
+
+    check()
