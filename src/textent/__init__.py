@@ -6,9 +6,8 @@ rank entities for natural-language queries or predict tags, against
 TF-IDF / bag-of-sentences / fixed-order baselines.
 """
 
-from .encoder import (EncoderOutput, ModelConfig, ModelParams, compatibility,
-                      embed_entity, encode, init_params, load_checkpoint,
-                      mlm_logits, hybrid_mlm_logits, save_checkpoint)
+from .encoder import (EncoderOutput, ModelConfig, ModelParams, encode, init_params,
+                      load_checkpoint, mlm_logits, save_checkpoint)
 from .errors import DataError, NumericError, TrainingDiverged
 from .evaluation import (EvalConfig, RankedList, TfidfIndex, binarize, bos_rank,
                          mean_average_precision, mrr, ndcg_at_k, precision_at_k,
@@ -17,8 +16,7 @@ from .evaluation import (EvalConfig, RankedList, TfidfIndex, binarize, bos_rank,
 from .finetune import (FinetuneConfig, FinetuneResult, example_weight,
                        predict_tag_scores, run_finetune, sample_negatives,
                        split_holdout)
-from .numerics import (AdamState, adam_step, grad_check, layer_norm, softmax,
-                       value_and_grads)
+from .numerics import AdamState, adam_step, grad_check, value_and_grads
 from .objectives import (LossOutput, MaskedBatch, TrainingConfig, build_batch,
                          mask_tokens, pretrain, pretrain_loss)
 from .synthetic import SyntheticWorld, SyntheticWorldSpec, generate_synthetic

@@ -35,8 +35,6 @@ from .text import CLS, PAD, SEP, Vocabulary
 
 VARIANTS = ("dual", "full", "hybrid")
 
-NORM_FLOOR = 1e-8  # cosine denominators below this are treated as zero vectors
-
 
 @dataclass
 class ModelConfig:
@@ -197,19 +195,16 @@ def init_params(config: ModelConfig, seed: int | np.random.Generator = 0,
 class EncoderOutput:
     hidden_states: np.ndarray            # [seq_len, hidden]
     cls_vector: np.ndarray               # hidden_states[0]
-    attention: list[np.ndarray] | None = None  # per layer: [heads, L, L]
 
 
 def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
                    input_ids: np.ndarray, segment_ids: np.ndarray,
-                   pad_mask: np.ndarray | None = None,
-                   collect_attention: bool = False
-                   ) -> tuple[Tensor, list[np.ndarray]]:
+                   pad_mask: np.ndarray | None = None) -> Tensor:
     """Autodiff forward pass over a padded batch.
 
     ``input_ids``/``segment_ids`` are [batch, seq]; ``pad_mask`` is a bool
     array marking real (non-PAD) positions. Returns hidden states
-    [batch, seq, hidden] plus per-layer attention probabilities when asked.
+    [batch, seq, hidden].
     """
     ids = np.asarray(input_ids)
     segs = np.asarray(segment_ids)
@@ -225,55 +220,27 @@ def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
     if pad_mask is not None:
         bias = np.where(pad_mask, 0.0, -1e9).astype(dtype).reshape(B, 1, 1, L)
 
-    attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
         pre = f"layer{i}."
 
         def _linear(inp, w, b):
             return autodiff.linear(inp, pt[pre + w], pt[pre + b])
 
-        ctx, probs = autodiff.attention(_linear(x, "attn_q_w", "attn_q_b"),
-                                        _linear(x, "attn_k_w", "attn_k_b"),
-                                        _linear(x, "attn_v_w", "attn_v_b"),
-                                        config.heads, bias)
-        if collect_attention:
-            attn_maps.append(probs.copy())
+        ctx, _ = autodiff.attention(_linear(x, "attn_q_w", "attn_q_b"),
+                                    _linear(x, "attn_k_w", "attn_k_b"),
+                                    _linear(x, "attn_v_w", "attn_v_b"),
+                                    config.heads, bias)
         attn_out = _linear(ctx, "attn_o_w", "attn_o_b")
         x = autodiff.layer_norm(x + attn_out, pt[pre + "attn_ln_g"], pt[pre + "attn_ln_b"])
         inner = autodiff.gelu(_linear(x, "ffn_w1", "ffn_b1"))
         ffn_out = _linear(inner, "ffn_w2", "ffn_b2")
         x = autodiff.layer_norm(x + ffn_out, pt[pre + "ffn_ln_g"], pt[pre + "ffn_ln_b"])
-    return x, attn_maps
+    return x
 
 
-def wrap_tensors(params: ModelParams, trainable: bool = True) -> dict[str, Tensor]:
-    make = autodiff.parameter if trainable else autodiff.constant
-    return {k: make(v) for k, v in params.tensors.items()}
-
-
-def _check_ids(ids: Sequence[int], config: ModelConfig) -> None:
-    for pos, tid in enumerate(ids):
-        if not 0 <= tid < config.vocab_size:
-            raise DataError(f"token id {tid} out of range at position {pos}")
-
-
-def encode(tokens: Sequence[int], segments: Sequence[int], params: ModelParams,
-           collect_attention: bool = False) -> EncoderOutput:
-    """Encode one sequence; deterministic in params and input."""
-    if len(tokens) != len(segments):
-        raise DataError("tokens and segments must have equal length")
-    if not tokens:
-        raise DataError("cannot encode an empty sequence")
-    config = params.config
-    _check_ids(tokens, config)
-    pt = wrap_tensors(params, trainable=False)
-    ids = np.asarray([tokens], dtype=np.int64)
-    segs = np.asarray([segments], dtype=np.int64)
-    hidden, attn = encode_tensors(pt, config, ids, segs,
-                                  collect_attention=collect_attention)
-    states = hidden.data[0]
-    return EncoderOutput(hidden_states=states, cls_vector=states[0],
-                         attention=[a[0] for a in attn] if collect_attention else None)
+def wrap_tensors(params: ModelParams) -> dict[str, Tensor]:
+    """Every tensor as a graph constant, for forward passes without gradients."""
+    return {k: autodiff.constant(v) for k, v in params.tensors.items()}
 
 
 def pad_rows(rows: Sequence[Sequence[int]], segments: Sequence[Sequence[int]]
@@ -295,9 +262,26 @@ def encode_rows(rows: Sequence[Sequence[int]], segments: Sequence[Sequence[int]]
                 params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-free batched forward; returns hidden [B, L, H] and pad mask."""
     ids, segs, mask = pad_rows(rows, segments)
-    pt = wrap_tensors(params, trainable=False)
-    hidden, _ = encode_tensors(pt, params.config, ids, segs, mask)
+    hidden = encode_tensors(wrap_tensors(params), params.config, ids, segs, mask)
     return hidden.data, mask
+
+
+def encode(tokens: Sequence[int], segments: Sequence[int],
+           params: ModelParams) -> EncoderOutput:
+    """Encode one sequence, checked: ``encode_rows`` of one row.
+
+    Deterministic in params and input. A one-row pad mask adds 0.0 to every
+    attention score, so the states equal an unmasked forward bit for bit.
+    """
+    if len(tokens) != len(segments):
+        raise DataError("tokens and segments must have equal length")
+    if not tokens:
+        raise DataError("cannot encode an empty sequence")
+    for pos, tid in enumerate(tokens):
+        if not 0 <= tid < params.config.vocab_size:
+            raise DataError(f"token id {tid} out of range at position {pos}")
+    hidden, _ = encode_rows([tokens], [segments], params)
+    return EncoderOutput(hidden_states=hidden[0], cls_vector=hidden[0, 0])
 
 
 def sentence_row(tokens: Sequence[int], config: ModelConfig) -> tuple[list[int], list[int]]:
@@ -330,31 +314,8 @@ def entity_matrix(params: ModelParams) -> np.ndarray:
     return params.tensors["entity_table"]
 
 
-def embed_entity(entity_index: int, params: ModelParams) -> np.ndarray:
-    if not 0 <= entity_index < params.config.entity_count:
-        raise DataError(f"entity index {entity_index} out of range")
-    return entity_matrix(params)[entity_index]
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        raise NumericError("zero-norm vector in cosine similarity")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def compatibility(entity_index: int, tokens: Sequence[int], params: ModelParams) -> float:
-    """Cosine between the entity embedding and the sentence CLS encoding."""
-    row, segs = sentence_row(tokens, params.config)
-    out = encode(row, segs, params)
-    return cosine(embed_entity(entity_index, params), out.cls_vector)
-
-
-# The tensors each head reads: inference wraps only these.
+# The tensors the tied head reads: ``mlm_logits`` wraps only these.
 _MLM_HEAD = ("mlm_dense_w", "mlm_dense_b", "mlm_ln_g", "mlm_ln_b", "token_emb", "mlm_out_b")
-_HYBRID_HEAD = ("hyb_dense_w", "hyb_dense_b", "hyb_ln_g", "hyb_ln_b", "hyb_out_w",
-                "hyb_out_b")
 
 
 def mlm_head_tensors(pt: Mapping[str, Tensor], h: Tensor,
@@ -395,28 +356,6 @@ def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
         return np.zeros((0, params.config.vocab_size), dtype=hidden_states.dtype)
     pt = {k: autodiff.constant(params.tensors[k]) for k in _MLM_HEAD}
     return mlm_head_tensors(pt, autodiff.constant(hidden_states[positions])).data
-
-
-def hybrid_mlm_logits(hidden_states: np.ndarray, entity_vec: np.ndarray,
-                      positions: Sequence[int], params: ModelParams) -> np.ndarray:
-    """Masked-token logits from hidden state concatenated with the entity.
-
-    Mirrors the tied head's transform but over the wider input, with its
-    own (untied) output projection.
-    """
-    cfg = params.config
-    if "hyb_dense_w" not in params.tensors:
-        raise DataError(f"variant {cfg.variant!r} has no hybrid MLM head")
-    if entity_vec.shape != (cfg.entity_dim,):
-        raise DataError(f"entity vector has shape {entity_vec.shape}, "
-                        f"expected ({cfg.entity_dim},)")
-    positions = list(positions)
-    if not positions:
-        return np.zeros((0, cfg.vocab_size), dtype=hidden_states.dtype)
-    joined = np.concatenate([hidden_states[positions],
-                             np.tile(entity_vec, (len(positions), 1))], axis=1)
-    pt = {k: autodiff.constant(params.tensors[k]) for k in _HYBRID_HEAD}
-    return hybrid_head_tensors(pt, autodiff.constant(joined)).data
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -520,6 +459,8 @@ def load_checkpoint(directory: str | Path) -> ModelParams:
         if data.size != int(np.prod(shape)):
             raise DataError(f"tensor '{name}' file has {data.size} values, "
                             f"expected {int(np.prod(shape))}")
+        if not np.isfinite(data).all():
+            raise DataError(f"tensor '{name}' holds non-finite values")
         native = np.float64 if code == "<f8" else np.float32
         tensors[name] = data.reshape(shapes[name]).astype(native)
     return ModelParams(config, tensors)

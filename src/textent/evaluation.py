@@ -24,7 +24,7 @@ from scipy import sparse
 
 from .encoder import (ENTITY_POSITION, ModelParams, encode_rows, entity_matrix,
                       entity_row, mlm_logits, sentence_row)
-from .errors import DataError
+from .errors import DataError, NumericError
 from .text import MASK, CorpusExample, Query, TagVotes, Vocabulary, tokenize
 
 
@@ -212,25 +212,21 @@ def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str,
         row, segs = sentence_row(tokens, cfg)
         hidden, _ = encode_rows([row], [segs], params)
         q = hidden[0, 0]
-        q = q / np.linalg.norm(q)
+        q_norm = np.linalg.norm(q)  # both norms floored at 1e-8, as in training
+        if q_norm < 1e-8:
+            raise NumericError(f"query {query!r} encodes to a zero-norm vector")
         table = entity_matrix(params)
         norms = np.linalg.norm(table, axis=1)
-        scores = score_scale * (table @ q) / norms
+        zero = np.flatnonzero(norms < 1e-8)
+        if len(zero):
+            raise NumericError(f"entity {entity_ids[zero[0]]!r} has a zero-norm embedding")
+        scores = score_scale * (table @ (q / q_norm)) / norms
     else:
         row, segs = entity_row(MASK, tokens, cfg)
         hidden, _ = encode_rows([row], [segs], params)
         logits = mlm_logits(hidden[0], [ENTITY_POSITION], params)[0]
         scores = logits[cfg.word_vocab_size:]
     return rank_items(entity_ids, [float(s) for s in scores])
-
-
-def overlap_oracle_rank(attributes: Mapping[str, Sequence[str]],
-                        query_words: Sequence[str]) -> RankedList:
-    """Ground-truth ranking by attribute overlap with the query words."""
-    words = set(query_words)
-    ids = sorted(attributes)
-    scores = [float(len(words & set(attributes[e]))) for e in ids]
-    return rank_items(ids, scores)
 
 
 # -- entity-less baselines ---------------------------------------------------------

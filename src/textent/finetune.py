@@ -232,18 +232,18 @@ class EncodedTags:
               tokens: Sequence[Sequence[int]]) -> "EncodedTags":
         if cfg.variant == "hybrid":
             layout = MaskLayout.for_tags(tokens, cfg)
-            hidden, _ = encode_tensors(pt, cfg, layout.input_ids, layout.segment_ids,
-                                       layout.pad_mask)
+            hidden = encode_tensors(pt, cfg, layout.input_ids, layout.segment_ids,
+                                    layout.pad_mask)
             return cls(cfg.variant, pt,
                        _flat_gather(hidden, layout.token_rows, layout.token_cols), layout)
         if cfg.variant == "full":
             rows = pad_rows(*zip(*(entity_row(MASK, t, cfg) for t in tokens)))
-            hidden, _ = encode_tensors(pt, cfg, *rows)
+            hidden = encode_tensors(pt, cfg, *rows)
             logits = mlm_head_tensors(pt, hidden[:, ENTITY_POSITION],
                                       slice(cfg.word_vocab_size, None))
             return cls(cfg.variant, pt, autodiff.log_softmax(logits, axis=-1))
         rows = pad_rows(*zip(*(sentence_row(t, cfg) for t in tokens)))
-        hidden, _ = encode_tensors(pt, cfg, *rows)
+        hidden = encode_tensors(pt, cfg, *rows)
         return cls(cfg.variant, pt, _normalize_rows(hidden[:, 0], "tag"))
 
     def logits(self, entity_index: int, score_scale: float) -> Tensor:
@@ -327,7 +327,7 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
 
 def _encode_tags(params: ModelParams, vocab: Vocabulary,
                  tags: Sequence[str]) -> EncodedTags:
-    return EncodedTags.build(wrap_tensors(params, trainable=False), params.config,
+    return EncodedTags.build(wrap_tensors(params), params.config,
                              [_tag_tokens(t, vocab) for t in tags])
 
 

@@ -1,9 +1,9 @@
-"""Array-level numeric primitives with explicit contracts.
+"""Optimizer and gradient plumbing over the ``autodiff`` graph.
 
-Holds a checked softmax and layer norm computed by the ``autodiff`` ops
-the models call directly, the Adam optimizer, the one loss-and-gradient
-path (``value_and_grads``) and a central-difference gradient-check
-harness. 32-bit floats are the training default; gradient checks should be
+Holds the Adam optimizer, the one loss-and-gradient path
+(``value_and_grads``) and a central-difference gradient-check harness.
+Softmax, layer norm and the other numeric primitives live in ``autodiff``
+alone. 32-bit floats are the training default; gradient checks should be
 run on 64-bit parameters.
 """
 
@@ -16,36 +16,6 @@ import numpy as np
 
 from . import autodiff
 from .errors import DataError, NumericError
-
-EPS_FLOOR = 1e-12
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Exp-normalize ``logits`` along ``axis``.
-
-    Invariant under adding a constant to all logits; output is nonnegative
-    and sums to 1 along ``axis``. Raises on empty input.
-    """
-    logits = np.asarray(logits)
-    if logits.size == 0:
-        raise DataError("empty logits")
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
-    return autodiff.softmax(autodiff.constant(logits), axis=axis).data
-
-
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = EPS_FLOOR) -> np.ndarray:
-    """Zero-mean unit-variance normalization of a vector, scaled and shifted.
-
-    The denominator is floored by ``eps``: constant input maps to zero
-    output instead of NaN.
-    """
-    x = np.asarray(x)
-    if x.shape[-1] < 2:
-        raise DataError("layer_norm needs length >= 2")
-    return autodiff.layer_norm(autodiff.constant(x), autodiff.constant(gain),
-                               autodiff.constant(bias), eps).data
 
 
 # -- optimizer ----------------------------------------------------------------

@@ -229,8 +229,8 @@ def dual_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
                train: TrainingConfig) -> tuple[Tensor, float, float]:
     """In-batch-negative softmax loss; the candidate set is the batch's
     unique entities, so a batch of one is a free win (loss 0)."""
-    hidden, _ = encode_tensors(pt, config, batch.input_ids,
-                               batch.segment_ids, batch.pad_mask)
+    hidden = encode_tensors(pt, config, batch.input_ids,
+                            batch.segment_ids, batch.pad_mask)
     loss = _dual_term(pt, hidden, batch, train.score_scale)
     return loss, float(loss.data), 0.0
 
@@ -248,8 +248,8 @@ def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     w_rows, w_cols, w_labels = _word_mask_indices(batch)
     if len(ent_rows) == 0 and len(w_rows) == 0:
         return autodiff.constant(0.0), 0.0, 0.0
-    hidden, _ = encode_tensors(pt, config, batch.input_ids,
-                               batch.segment_ids, batch.pad_mask)
+    hidden = encode_tensors(pt, config, batch.input_ids,
+                            batch.segment_ids, batch.pad_mask)
     terms: list[Tensor] = []
     entity_term = 0.0
     mlm_term = 0.0
@@ -281,8 +281,8 @@ def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     With no masked positions (or loss_mix 0) this equals the dual loss on
     the same rows exactly.
     """
-    hidden, _ = encode_tensors(pt, config, batch.input_ids,
-                               batch.segment_ids, batch.pad_mask)
+    hidden = encode_tensors(pt, config, batch.input_ids,
+                            batch.segment_ids, batch.pad_mask)
     total = _dual_term(pt, hidden, batch, train.score_scale)
     entity_term = float(total.data)
     mlm_term = 0.0
@@ -327,9 +327,9 @@ def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
     rows = np.flatnonzero(batch.entity_masked)
     if len(rows) == 0:
         return float("nan")
-    pt = wrap_tensors(params, trainable=False)
-    hidden, _ = encode_tensors(pt, cfg, batch.input_ids, batch.segment_ids,
-                               batch.pad_mask)
+    pt = wrap_tensors(params)
+    hidden = encode_tensors(pt, cfg, batch.input_ids, batch.segment_ids,
+                            batch.pad_mask)
     h = autodiff.constant(hidden.data[rows, ENTITY_POSITION])
     logits = mlm_head_tensors(pt, h).data
     truth = np.asarray([cfg.entity_token_id(int(e)) for e in batch.entity_rows[rows]])

@@ -335,16 +335,23 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """(1-based line number, parsed object) for every non-blank line."""
+    """(1-based line number, parsed object) for every non-blank line; bad
+    JSON and a string holding a lone surrogate are ``DataError``s."""
     rows = []
     for line_no, line in numbered_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            rows.append((line_no, json.loads(line)))
+            row = json.loads(line)
+            if "\\u" in line:  # only an escape decodes to a lone surrogate
+                json.dumps(row, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{path}:{line_no}: a string holds a lone surrogate "
+                            f"escape") from exc
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise DataError(f"{path}: bad JSON on line {line_no}") from exc
+        rows.append((line_no, row))
     return rows
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from textent import evaluation, finetune, objectives
 from textent.cli import main
-from textent.encoder import ModelConfig, load_checkpoint
+from textent.encoder import ModelConfig, entity_matrix, load_checkpoint
 from textent.evaluation import bos_rank
 from textent.text import Vocabulary, extend_with_entities, read_corpus, read_queries
 
@@ -93,6 +93,15 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:1: 'entity_id' is 3, not str" in err and "Traceback" not in err
+
+    def test_lone_surrogate_escape_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "reviews.jsonl"
+        bad.write_text('{"entity_id": "m\\ud800", "text": "a b c d e"}\n' * 5)
+        assert main(["preprocess", "--input", str(bad),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1: a string holds a lone surrogate escape" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags, problem", [
         (["--max-seq-len", "-1"], "max_seq_len must be >= 4, got -1"),
@@ -223,6 +232,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{ckpt / 'manifest.json'}" in err and problem in err
         assert "Traceback" not in err
+
+    def test_non_finite_tensor_is_data_error(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        path = ckpt / "tensors" / "layer0.ffn_w1.bin"
+        values = np.fromfile(path, dtype="<f4")
+        values[5] = np.nan
+        values.tofile(path)
+        assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "tensor 'layer0.ffn_w1' holds non-finite values" in err
+        assert "Traceback" not in err
+
+    def test_zero_norm_entity_is_numeric_error(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        path = ckpt / "tensors" / "entity_table.bin"
+        table = np.fromfile(path, dtype="<f4").reshape(10, 16)
+        table[3] = 0.0
+        table.tofile(path)
+        query = read_queries(workdir / "data" / "queries.jsonl")[0].text
+        entity_id = Vocabulary.load(ckpt / "vocab.tsv").entity_ids[3]
+        assert main(["retrieve", "--checkpoint", str(ckpt), "--query", query]) == 2
+        captured = capsys.readouterr()
+        assert f"entity {entity_id!r} has a zero-norm embedding" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("split, baseline, problem", [
         ("{not json", "toptags", "is not valid JSON"),
@@ -538,12 +573,13 @@ class TestExport:
         tokens = tokenize(query.text, vocab)
         row_ids, segs = sentence_row(tokens, params.config)
         cls = encode(row_ids, segs, params).cls_vector.astype(np.float64)
-        from textent.encoder import compatibility
+
+        def cosine(a, b):
+            return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+        rows = entity_matrix(params).astype(np.float64)
         for i, eid in enumerate(vocab.entity_ids[:4]):
-            direct = compatibility(i, tokens, params)
-            re_imported = float(table[eid] @ cls /
-                                (np.linalg.norm(table[eid]) * np.linalg.norm(cls)))
-            assert abs(direct - re_imported) < 1e-6
+            assert abs(cosine(rows[i], cls) - cosine(table[eid], cls)) < 1e-6
 
 
 class TestEndToEnd:

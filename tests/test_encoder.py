@@ -6,15 +6,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from textent import objectives
-from textent.encoder import (ENTITY_POSITION, ModelConfig,
-                             compatibility, cosine, embed_entity, encode,
-                             encode_rows, encode_tensors, entity_matrix, entity_row,
-                             expected_shapes, hybrid_mlm_logits, init_params,
+from textent import autodiff, objectives
+from textent.encoder import (ENTITY_POSITION, ModelConfig, encode, encode_rows,
+                             encode_tensors, entity_matrix, entity_row,
+                             expected_shapes, hybrid_head_tensors, init_params,
                              load_checkpoint, mlm_logits, save_checkpoint,
-                             sentence_row, wrap_tensors)
-from textent.errors import DataError, NumericError
-from textent.numerics import softmax, value_and_grads
+                             wrap_tensors)
+from textent.errors import DataError
+from textent.numerics import grad_check, value_and_grads
 from textent.objectives import TrainingConfig, build_batch, pretrain_loss
 
 from conftest import (encode_tensors_composed, hybrid_head_composed,
@@ -28,6 +27,14 @@ TOY = dict(layers=2, heads=2, hidden=16, ffn_hidden=32, max_seq_len=16,
 def toy_params(variant="dual", seed=123, dtype=np.float64, **overrides):
     cfg = ModelConfig(**{**TOY, **overrides}, variant=variant)
     return init_params(cfg, seed=seed, dtype=dtype)
+
+
+def hybrid_logits(hidden_rows, entity_vec, params):
+    """The hybrid head on constants: concat(hidden row, entity vector) per row."""
+    joined = np.concatenate([hidden_rows, np.tile(entity_vec, (len(hidden_rows), 1))],
+                            axis=1)
+    pt = wrap_tensors(params)
+    return hybrid_head_tensors(pt, autodiff.constant(joined)).data
 
 
 class TestEncode:
@@ -77,14 +84,6 @@ class TestEncode:
         out = encode([1, 5, 2], [0] * 3, params)
         np.testing.assert_array_equal(out.cls_vector, out.hidden_states[0])
 
-    def test_attention_rows_stochastic(self):
-        params = toy_params()
-        out = encode([1, 5, 6, 7, 8, 2], [0] * 6, params, collect_attention=True)
-        assert len(out.attention) == params.config.layers
-        for layer in out.attention:
-            assert layer.shape == (2, 6, 6)
-            np.testing.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)
-
     def test_id_out_of_range_names_position(self):
         params = toy_params()
         with pytest.raises(DataError, match="position 2"):
@@ -107,11 +106,27 @@ class TestEncode:
                                 [[0] * 4, [0] * 8], params)
         np.testing.assert_allclose(padded[0, :4], short, atol=1e-9)
 
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_equals_encode_rows_and_the_unmasked_forward(self, variant, dtype):
+        """``encode`` is ``encode_rows`` of one row; its all-real pad mask adds
+        0.0 to every attention score, so no bit moves against no mask."""
+        params = toy_params(variant, dtype=dtype)
+        tokens, segs = [1, 9, 17, 25, 33, 2], [0, 0, 0, 1, 1, 1]
+        out = encode(tokens, segs, params)
+        rows, mask = encode_rows([tokens], [segs], params)
+        unmasked = encode_tensors(wrap_tensors(params), params.config,
+                                  np.asarray([tokens]), np.asarray([segs]))
+        assert out.hidden_states.dtype == dtype and mask.all()
+        assert out.hidden_states.tobytes() == rows[0].tobytes()
+        assert out.hidden_states.tobytes() == unmasked.data[0].tobytes()
+        assert out.cls_vector.tobytes() == rows[0, 0].tobytes()
+
 
 class TestEntityEmbeddings:
     def test_row_access(self):
         params = toy_params()
-        np.testing.assert_array_equal(embed_entity(0, params),
+        np.testing.assert_array_equal(entity_matrix(params)[0],
                                       params.tensors["entity_table"][0])
 
     def test_distinct_rows_after_init(self):
@@ -121,47 +136,12 @@ class TestEntityEmbeddings:
             for j in range(i + 1, len(table)):
                 assert not np.array_equal(table[i], table[j])
 
-    def test_out_of_range(self):
-        params = toy_params()
-        with pytest.raises(DataError):
-            embed_entity(11, params)
-
     def test_full_variant_rows_live_in_token_embedding(self):
         params = toy_params("full")
         cfg = params.config
         np.testing.assert_array_equal(
-            embed_entity(1, params),
+            entity_matrix(params)[1],
             params.tensors["token_emb"][cfg.word_vocab_size + 1])
-
-
-class TestCompatibility:
-    def test_identical_vectors_give_one(self):
-        params = toy_params()
-        tokens = [5, 6, 7]
-        row, segs = sentence_row(tokens, params.config)
-        cls = encode(row, segs, params).cls_vector
-        params.tensors["entity_table"][0] = cls
-        assert abs(compatibility(0, tokens, params) - 1.0) < 1e-12
-
-    def test_opposite_vectors_give_minus_one(self):
-        params = toy_params()
-        tokens = [5, 6, 7]
-        row, segs = sentence_row(tokens, params.config)
-        cls = encode(row, segs, params).cls_vector
-        params.tensors["entity_table"][0] = -cls
-        assert abs(compatibility(0, tokens, params) + 1.0) < 1e-12
-
-    def test_scale_invariance(self):
-        params = toy_params()
-        tokens = [5, 6, 7]
-        before = compatibility(2, tokens, params)
-        params.tensors["entity_table"][2] *= 7.0
-        after = compatibility(2, tokens, params)
-        assert abs(before - after) < 1e-12
-
-    def test_zero_norm_guarded(self):
-        with pytest.raises(NumericError, match="zero-norm"):
-            cosine(np.zeros(4), np.ones(4))
 
 
 class TestMlmHeads:
@@ -182,7 +162,8 @@ class TestMlmHeads:
         out = encode([1, 5, 6, 2], [0] * 4, params)
         logits = mlm_logits(out.hidden_states, [1, 2], params)
         for row in logits:
-            assert abs(softmax(row).sum() - 1.0) < 1e-6
+            probs = autodiff.softmax(autodiff.constant(row)).data
+            assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_position_bounds(self):
         params = toy_params("full")
@@ -219,15 +200,11 @@ class TestHybridHead:
         t["hyb_out_b"][:] = t["mlm_out_b"]
         out = encode([1, 5, 6, 7, 2], [0] * 5, params)
         plain = mlm_logits(out.hidden_states, [1, 3], params)
-        hybrid = hybrid_mlm_logits(out.hidden_states, np.zeros(cfg.entity_dim),
-                                   [1, 3], params)
+        hybrid = hybrid_logits(out.hidden_states[[1, 3]], np.zeros(cfg.entity_dim),
+                               params)
         np.testing.assert_allclose(hybrid, plain, atol=1e-12)
 
     def test_entity_vector_gradient_matches_finite_difference(self):
-        from textent.numerics import grad_check
-        from textent import autodiff
-        from textent.encoder import hybrid_head_tensors
-
         params = toy_params("hybrid")
         cfg = params.config
         out = encode([1, 5, 6, 2], [0] * 4, params)
@@ -237,25 +214,17 @@ class TestHybridHead:
         def fn(pt):
             joined = autodiff.concat(
                 [autodiff.constant(h_row.reshape(1, -1)), pt["vec"]], axis=-1)
-            head_pt = {k: autodiff.constant(v) for k, v in params.tensors.items()}
-            logits = hybrid_head_tensors(head_pt, joined)
+            logits = hybrid_head_tensors(wrap_tensors(params), joined)
             return (logits * autodiff.constant(probe)).sum()
 
-        vec = {"vec": embed_entity(0, params).reshape(1, -1).astype(np.float64)}
+        vec = {"vec": entity_matrix(params)[0].reshape(1, -1).astype(np.float64)}
         err = grad_check(fn, vec, samples=16, h=1e-6,
                          rng=np.random.default_rng(0))
         assert err < 1e-4
         # and the dependence is real: some direction moves the logits
-        base = hybrid_mlm_logits(out.hidden_states, vec["vec"][0], [1], params)
-        moved = hybrid_mlm_logits(out.hidden_states, vec["vec"][0] + 1e-3, [1],
-                                  params)
+        base = hybrid_logits(out.hidden_states[[1]], vec["vec"][0], params)
+        moved = hybrid_logits(out.hidden_states[[1]], vec["vec"][0] + 1e-3, params)
         assert np.abs(moved - base).max() > 0
-
-    def test_dim_mismatch(self):
-        params = toy_params("hybrid")
-        out = encode([1, 5, 2], [0] * 3, params)
-        with pytest.raises(DataError, match="shape"):
-            hybrid_mlm_logits(out.hidden_states, np.zeros(3), [1], params)
 
 
 class TestHeadsAgainstNumpyReference:
@@ -279,7 +248,7 @@ class TestHeadsAgainstNumpyReference:
     def test_hybrid_mlm_logits(self):
         params, hidden = self._randomized("hybrid")
         ent = params.tensors["entity_table"][1]
-        got = hybrid_mlm_logits(hidden, ent, [1, 4], params)
+        got = hybrid_logits(hidden[[1, 4]], ent, params)
         want = hybrid_mlm_logits_ref(hidden[[1, 4]], ent, params.tensors)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -390,7 +359,7 @@ def v1_full_checkpoint(tmp_path):
 
 class TestFusedNodesMatchComposedChain:
     """``linear`` and ``attention`` change no bits: the forward pass, the
-    attention maps, the loss and every parameter gradient equal the
+    loss and every parameter gradient equal the
     composed chain of elementary ops at float32, for every variant."""
 
     @staticmethod
@@ -401,17 +370,15 @@ class TestFusedNodesMatchComposedChain:
 
     @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
     @pytest.mark.parametrize("rows", [1, 8])
-    def test_hidden_states_and_attention(self, small_world, tiny_configs, variant, rows):
+    def test_hidden_states(self, small_world, tiny_configs, variant, rows):
         cfg = tiny_configs[variant]
         params = init_params(cfg, seed=7)
         batch = self._batch(small_world, cfg, rows)
-        args = (cfg, batch.input_ids, batch.segment_ids, batch.pad_mask, True)
-        fused, fused_maps = encode_tensors(wrap_tensors(params, False), *args)
-        chain, chain_maps = encode_tensors_composed(wrap_tensors(params, False), *args)
+        args = (cfg, batch.input_ids, batch.segment_ids, batch.pad_mask)
+        fused = encode_tensors(wrap_tensors(params), *args)
+        chain = encode_tensors_composed(wrap_tensors(params), *args)
         assert fused.data.dtype == np.float32
         np.testing.assert_array_equal(fused.data, chain.data)
-        for got, want in zip(fused_maps, chain_maps, strict=True):
-            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
     @pytest.mark.parametrize("rows", [1, 8])
@@ -459,7 +426,9 @@ class TestGradientOwnership:
     def test_no_two_nodes_share_a_gradient(self, small_world, tiny_configs, variant):
         cfg = tiny_configs[variant]
         batch = TestFusedNodesMatchComposedChain._batch(small_world, cfg, 8)
-        loss = self._graph(variant, cfg, batch)(wrap_tensors(init_params(cfg, seed=7)))
+        params = init_params(cfg, seed=7)
+        leaves = {k: autodiff.parameter(v) for k, v in params.tensors.items()}
+        loss = self._graph(variant, cfg, batch)(leaves)
         loss.backward()
         nodes, stack, seen = [], [loss], set()
         while stack:

@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from textent import evaluation
 from textent.encoder import ModelConfig, encode_rows, init_params, sentence_row
-from textent.errors import DataError
+from textent.errors import DataError, NumericError
 from textent.evaluation import (BosIndex, EvalConfig, TfidfIndex, average_precision,
                                 binarize, bos_rank, evaluate_retrieval,
                                 evaluate_tag_scores, mean_average_precision, mrr,
-                                ndcg_at_k, overlap_oracle_rank, precision_at_k,
+                                ndcg_at_k, precision_at_k,
                                 rank_items, recall_at_k, relevance, roc_auc,
                                 top_tags_baseline, zero_shot_rank)
 from textent.text import CorpusExample, Query, TagVotes, build_vocab, tokenize
+
+from conftest import overlap_oracle_rank
 
 
 # -- independent brute-force oracles ---------------------------------------------
@@ -291,6 +293,48 @@ class TestZeroShot:
     def test_empty_query_rejected(self, zero_shot_setup, small_world):
         with pytest.raises(DataError, match="empty"):
             zero_shot_rank(zero_shot_setup["dual"], small_world.vocab, "...")
+
+    @staticmethod
+    def _dual64(zero_shot_setup):
+        return zero_shot_setup["dual"].astype(np.float64)  # a copy
+
+    @staticmethod
+    def _query_cls(params, vocab, query):
+        row, segs = sentence_row(tokenize(query, vocab), params.config)
+        return encode_rows([row], [segs], params)[0][0, 0]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_entity_along_the_query_scores_plus_or_minus_the_scale(
+            self, zero_shot_setup, small_world, sign):
+        params, vocab = self._dual64(zero_shot_setup), small_world.vocab
+        query = small_world.queries[0].text
+        params.tensors["entity_table"][0] = sign * self._query_cls(params, vocab, query)
+        ranked = zero_shot_rank(params, vocab, query, score_scale=4.0)
+        score = dict(zip(ranked.ids, ranked.scores))[vocab.entity_ids[0]]
+        assert abs(score - sign * 4.0) < 1e-12
+
+    def test_invariant_to_entity_row_scale(self, zero_shot_setup, small_world):
+        params, vocab = self._dual64(zero_shot_setup), small_world.vocab
+        query = small_world.queries[0].text
+        before = zero_shot_rank(params, vocab, query)
+        params.tensors["entity_table"][2] *= 7.0
+        after = zero_shot_rank(params, vocab, query)
+        eid = vocab.entity_ids[2]
+        assert abs(before.scores[before.ids.index(eid)]
+                   - after.scores[after.ids.index(eid)]) < 1e-12
+
+    def test_zero_norm_entity_row_is_named(self, zero_shot_setup, small_world):
+        params, vocab = self._dual64(zero_shot_setup), small_world.vocab
+        params.tensors["entity_table"][2] = 0.0
+        with pytest.raises(NumericError,
+                           match=f"entity '{vocab.entity_ids[2]}' has a zero-norm"):
+            zero_shot_rank(params, vocab, small_world.queries[0].text)
+
+    def test_zero_norm_query_encoding_is_named(self, zero_shot_setup, small_world):
+        params = self._dual64(zero_shot_setup)
+        params.tensors["layer0.ffn_ln_g"][:] = 0.0  # the last norm zeroes every state
+        with pytest.raises(NumericError, match="encodes to a zero-norm vector"):
+            zero_shot_rank(params, small_world.vocab, small_world.queries[0].text)
 
     def test_oracle_overlap_ceiling_is_perfect_on_queries(self, small_world):
         ranked = [overlap_oracle_rank(small_world.attributes, q.text.split())

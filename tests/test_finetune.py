@@ -6,8 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from textent.encoder import (ModelConfig, encode, hybrid_mlm_logits, init_params,
-                             sentence_row)
+from textent.encoder import ModelConfig, encode, init_params, sentence_row
 from textent.errors import DataError, TrainingDiverged
 from textent.finetune import (FinetuneConfig, example_weight, predict_tag_scores,
                               run_finetune, sample_negatives, score_tag_matrix,
@@ -15,6 +14,8 @@ from textent.finetune import (FinetuneConfig, example_weight, predict_tag_scores
 from textent.numerics import grad_check
 from textent.objectives import TrainingConfig, pretrain
 from textent.text import MASK, tokenize
+
+from conftest import hybrid_mlm_logits_ref
 
 
 class TestExampleWeight:
@@ -206,12 +207,12 @@ class TestPredictTagScores:
         row, segs = sentence_row([MASK, MASK], params.config)
         hidden = encode(row, segs, params).hidden_states
         ent = params.tensors["entity_table"][vocab.entity_index("e0002")]
-        logits = hybrid_mlm_logits(hidden, ent, [1, 2], params).astype(np.float64)
+        logits = hybrid_mlm_logits_ref(hidden[[1, 2]], ent, params.tensors).astype(np.float64)
         logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         pair = np.exp((logp[0, vocab.lookup(a)] + logp[1, vocab.lookup(b)]) / 2)
         row1, segs1 = sentence_row([MASK], params.config)
-        logits1 = hybrid_mlm_logits(encode(row1, segs1, params).hidden_states, ent,
-                                    [1], params).astype(np.float64)[0]
+        logits1 = hybrid_mlm_logits_ref(encode(row1, segs1, params).hidden_states[[1]],
+                                        ent, params.tensors).astype(np.float64)[0]
         single = np.exp(logits1[vocab.lookup(a)]) / np.exp(logits1).sum()
         np.testing.assert_allclose(got, [pair, single], rtol=1e-4)
 

@@ -3,9 +3,10 @@
 import pytest
 
 from textent.errors import DataError
-from textent.evaluation import overlap_oracle_rank
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
 from textent.text import UNK, render_example
+
+from conftest import overlap_oracle_rank
 
 SPEC = SyntheticWorldSpec(entities=10, attribute_vocab=30, attributes_per_entity=4,
                           sentences_per_entity=12, words_per_sentence=6,

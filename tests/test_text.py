@@ -200,6 +200,7 @@ class TestFileFormats:
         ('{"entity_id": "m2", "tokens": [5, 6.5]}', "not a non-negative integer"),
         ('{"entity_id": "m2", "tokens": [5, "6"]}', "not a non-negative integer"),
         ('{"entity_id": "m2", "tokens": []}', "no tokens"),
+        ('{"entity_id": "m\\ud800", "tokens": [5]}', "lone surrogate escape"),
     ])
     def test_bad_corpus_row_names_file_and_line(self, tmp_path, row, problem):
         path = tmp_path / "c.jsonl"
@@ -213,6 +214,11 @@ class TestFileFormats:
         path.write_text('{"entity_id": "m1", "entity_name": "Up", "text": "a b"}\n'
                         '{"entity_id": "m2", "text": "c"}\n')
         assert read_raw_reviews(path) == [("m1", "Up", "a b"), ("m2", "", "c")]
+
+    def test_surrogate_pair_escape_reads_as_one_character(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"entity_id": "m\\ud83d\\ude00", "text": "\\u00e9"}\n')
+        assert read_raw_reviews(path) == [("m\U0001f600", "", "\u00e9")]
 
     def test_votes_round_trip(self, tmp_path):
         votes = TagVotes()
@@ -240,6 +246,12 @@ class TestFileFormats:
         (read_raw_reviews, '{"entity_id": "m2", "entity_name": 4, "text": "t"}',
          "'entity_name' is 4, not str"),
         (read_raw_reviews, '{"entity_id": "m2"}', "row has no 'text'"),
+        (read_raw_reviews, '{"entity_id": "m\\ud800", "text": "t"}',
+         "lone surrogate escape"),
+        (read_votes, '{"entity_id": "m1", "tag": "x\\udc00", "votes": 1}',
+         "lone surrogate escape"),
+        (read_queries, '{"query": "q", "relevant_entity_ids": ["\\udbff"]}',
+         "lone surrogate escape"),
     ])
     def test_bad_vote_or_query_row_names_file_and_line(self, tmp_path, reader, row,
                                                        problem):
