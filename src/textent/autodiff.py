@@ -504,18 +504,6 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, out_data * (g - inner), owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))

@@ -275,7 +275,7 @@ def encode(tokens: Sequence[int], segments: Sequence[int],
     """
     if len(tokens) != len(segments):
         raise DataError("tokens and segments must have equal length")
-    if not tokens:
+    if len(tokens) == 0:
         raise DataError("cannot encode an empty sequence")
     for pos, tid in enumerate(tokens):
         if not 0 <= tid < params.config.vocab_size:
@@ -336,6 +336,28 @@ def hybrid_head_tensors(pt: Mapping[str, Tensor], joined: Tensor) -> Tensor:
     t = autodiff.gelu(autodiff.linear(joined, pt["hyb_dense_w"], pt["hyb_dense_b"]))
     t = autodiff.layer_norm(t, pt["hyb_ln_g"], pt["hyb_ln_b"])
     return autodiff.linear(t, pt["hyb_out_w"], pt["hyb_out_b"])
+
+
+def normalize_rows(t: Tensor, what: str) -> Tensor:
+    """Rows of ``t`` at unit length; a zero row is a NumericError naming it."""
+    norms_sq = (t * t).sum(axis=-1, keepdims=True)
+    zero = np.flatnonzero(norms_sq.data < 1e-16)
+    if len(zero):
+        raise NumericError(f"zero-norm {what} vector in row {zero[0]} of cosine scoring")
+    return t / autodiff.sqrt(norms_sq)
+
+
+def cosine_head_tensors(pt: Mapping[str, Tensor], unit_rows: Tensor,
+                        entities: np.ndarray, score_scale: float) -> Tensor:
+    """Scaled cosines [rows, len(entities)] of unit rows against entity rows."""
+    ent = normalize_rows(pt["entity_table"][entities], "entity")
+    return (unit_rows @ ent.transpose(1, 0)) * score_scale
+
+
+def flat_gather(hidden: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
+    """``hidden[row_idx[i], col_idx[i]]`` for each i, as one gather."""
+    B, L, H = hidden.shape
+    return hidden.reshape(B * L, H)[row_idx * L + col_idx]
 
 
 def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],

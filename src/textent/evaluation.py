@@ -1,5 +1,8 @@
 """Ranking metrics, zero-shot entity retrieval, and entity-less baselines.
 
+Zero-shot retrieval reads a query the way fine-tuning reads a tag
+(``finetune.EncodedTags``), against every entity at once.
+
 Metrics consume ranks and labels only, so they are invariant under strictly
 monotone transforms of the underlying scores. Ties in score are broken by
 ascending item id everywhere, which keeps every ranking deterministic.
@@ -22,10 +25,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .encoder import (ENTITY_POSITION, ModelParams, encode_rows, entity_matrix,
-                      entity_row, mlm_logits, sentence_row)
+from . import autodiff
+# Unused here, ``mlm_logits`` stays importable: the benchmark's tracer wraps
+# ``evaluation.mlm_logits`` (and ``evaluation.encode_rows``) by name.
+from .encoder import (ModelParams, encode_rows, mlm_logits,  # noqa: F401
+                      normalize_rows, sentence_row, wrap_tensors)
 from .errors import DataError, NumericError
-from .text import MASK, CorpusExample, Query, TagVotes, Vocabulary, tokenize
+from .finetune import EncodedTags
+from .text import CorpusExample, Query, TagVotes, Vocabulary, tokenize
 
 
 @dataclass
@@ -199,34 +206,22 @@ def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str,
                    score_scale: float = 4.0) -> RankedList:
     """Rank every entity for a query with a pre-trained (not fine-tuned) model.
 
-    Dual/hybrid score by scaled cosine between entity embeddings and the
-    encoded query. The full variant encodes [CLS] [MASK] [SEP] query [SEP]
-    and reads the masked position's logits over the entity block.
+    The query is read as a tag before fine-tuning: dual and hybrid score the
+    scaled cosine of its CLS encoding with each entity embedding, full the
+    log p(entity | [CLS] [MASK] [SEP] query [SEP]). A zero-norm query or
+    entity row is a ``NumericError`` naming the query and the row.
     """
     if not score_scale > 0:
         raise DataError(f"score_scale must be > 0, got {score_scale}")
     cfg = params.config
     tokens = _query_tokens(query, vocab)
-    entity_ids = list(vocab.entity_ids)
-    if cfg.variant in ("dual", "hybrid"):
-        row, segs = sentence_row(tokens, cfg)
-        hidden, _ = encode_rows([row], [segs], params)
-        q = hidden[0, 0]
-        q_norm = np.linalg.norm(q)  # both norms floored at 1e-8, as in training
-        if q_norm < 1e-8:
-            raise NumericError(f"query {query!r} encodes to a zero-norm vector")
-        table = entity_matrix(params)
-        norms = np.linalg.norm(table, axis=1)
-        zero = np.flatnonzero(norms < 1e-8)
-        if len(zero):
-            raise NumericError(f"entity {entity_ids[zero[0]]!r} has a zero-norm embedding")
-        scores = score_scale * (table @ (q / q_norm)) / norms
-    else:
-        row, segs = entity_row(MASK, tokens, cfg)
-        hidden, _ = encode_rows([row], [segs], params)
-        logits = mlm_logits(hidden[0], [ENTITY_POSITION], params)[0]
-        scores = logits[cfg.word_vocab_size:]
-    return rank_items(entity_ids, [float(s) for s in scores])
+    readout = "posterior" if cfg.variant == "full" else "cosine"
+    try:
+        encoded = EncodedTags.build(wrap_tensors(params), cfg, [tokens], readout)
+        scores = encoded.logits(np.arange(cfg.entity_count), score_scale).data[0]
+    except NumericError as exc:
+        raise NumericError(f"query {query!r}: {exc}") from exc
+    return rank_items(vocab.entity_ids, [float(s) for s in scores])
 
 
 # -- entity-less baselines ---------------------------------------------------------
@@ -350,8 +345,11 @@ class BosIndex:
         # not depend on which other entities' sentences share its batch
         blocks = []
         for entity_id in self.entity_ids:
-            vecs = _mean_pooled(by_entity[entity_id], params)
-            blocks.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+            vecs = autodiff.constant(_mean_pooled(by_entity[entity_id], params))
+            try:
+                blocks.append(normalize_rows(vecs, "sentence").data)
+            except NumericError as exc:
+                raise NumericError(f"entity {entity_id!r}: {exc}") from exc
         self.matrix = (np.concatenate(blocks, axis=0) if blocks
                        else np.zeros((0, params.config.hidden), dtype=np.float32))
         bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
@@ -361,7 +359,10 @@ class BosIndex:
         _check_aggregation(aggregation)
         q_tokens = _query_tokens(query, self.vocab)
         q_vec = _mean_pooled([q_tokens], self.params)[0]
-        q_vec = q_vec / np.linalg.norm(q_vec)
+        q_norm = np.linalg.norm(q_vec)
+        if q_norm < 1e-8:  # the floor normalize_rows puts on the corpus side
+            raise NumericError(f"query {query!r} encodes to a zero-norm vector")
+        q_vec = q_vec / q_norm
         # one product per entity block: BLAS rounds a row's dot product
         # differently depending on where the row sits in the matrix
         reduce = np.max if aggregation == "max" else np.mean

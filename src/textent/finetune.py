@@ -12,16 +12,17 @@ bit-identical.
 
 Each variant reads a tag through what its pretraining learned about all
 entities, so held-out entities are scored by the same readout. One class,
-``EncodedTags``, holds it: fine-tuning trains its logits, scoring reads
-them.
+``EncodedTags``, holds the three named readouts: fine-tuning trains their
+logits, tag scoring reads them, and zero-shot retrieval
+(``evaluation.zero_shot_rank``) reads a query as a tag before fine-tuning.
 
-  dual    scaled cosine between the tag's CLS encoding and the entity
-          embedding (the in-batch objective's score)
-  hybrid  mean log-probability of the tag's tokens under the masked-word
-          head, read at [CLS] [MASK]*n [SEP] with the entity embedding
-          concatenated, as in the hybrid word term
-  full    log p(entity | [CLS] [MASK] [SEP] tag [SEP]) over the entity
-          block, as in the full entity term
+  dual    ``cosine``: scaled cosine between the tag's CLS encoding and the
+          entity embedding (the in-batch objective's score)
+  hybrid  ``head``: mean log-probability of the tag's tokens under the
+          masked-word head, read at [CLS] [MASK]*n [SEP] with the entity
+          embedding concatenated, as in the hybrid word term
+  full    ``posterior``: log p(entity | [CLS] [MASK] [SEP] tag [SEP]) over
+          the entity block, as in the full entity term
 
 Two evaluation protocols: "closed" holds out entities, "open" holds out a
 slice of the tag vocabulary (held-out tags never enter a training batch).
@@ -39,12 +40,12 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor
-from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode_tensors,
-                      entity_row, hybrid_head_tensors, mlm_head_tensors, pad_rows,
-                      sentence_row, wrap_tensors)
+from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, cosine_head_tensors,
+                      encode_tensors, entity_row, flat_gather, hybrid_head_tensors,
+                      mlm_head_tensors, normalize_rows, pad_rows, sentence_row,
+                      wrap_tensors)
 from .errors import DataError, NumericError, TrainingDiverged
 from .numerics import AdamState, adam_step, value_and_grads
-from .objectives import _flat_gather, _normalize_rows
 from .text import MASK, UNK, TagVotes, Vocabulary, tokenize
 
 log = logging.getLogger(__name__)
@@ -206,51 +207,57 @@ class MaskLayout:
                    as_int(token_ids), average)
 
 
+# The readout a tag is read through, per variant: what its pretraining trained.
+TAG_READOUT = {"dual": "cosine", "hybrid": "head", "full": "posterior"}
+
+
 @dataclass
 class EncodedTags:
-    """A tag list read through its variant's readout, encoded once.
+    """Texts read through one readout, encoded once.
 
     ``build`` runs the part no entity changes; ``logits`` adds the
     per-entity arithmetic. Fine-tuning builds it on parameter tensors and
-    trains on the logits; scoring builds it once on constants and reads
-    the logits of every entity.
+    trains on the logits; tag scoring and zero-shot retrieval build it once
+    on constants and read the logits of the entities they rank.
 
-      dual    ``rows`` are the tags' unit CLS directions
-      hybrid  ``rows`` are the encoder outputs at each tag token's mask
-              in ``layout``
-      full    ``rows`` are log p(entity | [CLS] [MASK] [SEP] tag [SEP])
-              over the entity block
+      cosine     ``rows`` are the texts' unit CLS directions, scored by the
+                 encoder's cosine head (dual and hybrid)
+      head       ``rows`` are the encoder outputs at each text token's mask
+                 in ``layout``, read by the hybrid masked-word head
+      posterior  ``rows`` are log p(entity | [CLS] [MASK] [SEP] text [SEP])
+                 over the entity block (full)
     """
 
-    variant: str
+    readout: str
     pt: Mapping[str, Tensor]
     rows: Tensor
     layout: MaskLayout | None = None
 
     @classmethod
     def build(cls, pt: Mapping[str, Tensor], cfg: ModelConfig,
-              tokens: Sequence[Sequence[int]]) -> "EncodedTags":
-        if cfg.variant == "hybrid":
+              tokens: Sequence[Sequence[int]], readout: str) -> "EncodedTags":
+        if readout == "head":
             layout = MaskLayout.for_tags(tokens, cfg)
             hidden = encode_tensors(pt, cfg, layout.input_ids, layout.segment_ids,
                                     layout.pad_mask)
-            return cls(cfg.variant, pt,
-                       _flat_gather(hidden, layout.token_rows, layout.token_cols), layout)
-        if cfg.variant == "full":
+            return cls(readout, pt,
+                       flat_gather(hidden, layout.token_rows, layout.token_cols), layout)
+        if readout == "posterior":
             rows = pad_rows(*zip(*(entity_row(MASK, t, cfg) for t in tokens)))
             hidden = encode_tensors(pt, cfg, *rows)
             logits = mlm_head_tensors(pt, hidden[:, ENTITY_POSITION],
                                       slice(cfg.word_vocab_size, None))
-            return cls(cfg.variant, pt, autodiff.log_softmax(logits, axis=-1))
+            return cls(readout, pt, autodiff.log_softmax(logits, axis=-1))
         rows = pad_rows(*zip(*(sentence_row(t, cfg) for t in tokens)))
         hidden = encode_tensors(pt, cfg, *rows)
-        return cls(cfg.variant, pt, _normalize_rows(hidden[:, 0], "tag"))
+        return cls(readout, pt, normalize_rows(hidden[:, 0], "text"))
 
-    def logits(self, entity_index: int, score_scale: float) -> Tensor:
-        """Per-tag scores for one entity: the tag softmax's logits."""
-        if self.variant == "full":
-            return self.rows[:, entity_index]
-        if self.variant == "hybrid":
+    def logits(self, entities: Sequence[int] | np.ndarray, score_scale: float) -> Tensor:
+        """Scores [texts, len(entities)]; ``score_scale`` scales only ``cosine``."""
+        if self.readout == "posterior":
+            return self.rows[:, entities]
+        if self.readout == "head":
+            (entity_index,) = entities  # the hybrid head reads one entity
             n_tokens = len(self.layout.token_ids)
             ent = self.pt["entity_table"][np.full(n_tokens, entity_index)]
             logp = autodiff.log_softmax(
@@ -258,10 +265,8 @@ class EncodedTags:
                 axis=-1)
             picked = logp[np.arange(n_tokens), self.layout.token_ids].reshape(n_tokens, 1)
             average = autodiff.constant(self.layout.average.astype(picked.dtype))
-            return (average @ picked).reshape(len(self.layout.average))
-        ent = self.pt["entity_table"][np.asarray([entity_index])]
-        cosines = self.rows @ _normalize_rows(ent, "entity").transpose(1, 0)
-        return cosines.reshape(self.rows.shape[0]) * score_scale
+            return average @ picked
+        return cosine_head_tensors(self.pt, self.rows, entities, score_scale)
 
 
 def tag_loss(pt: Mapping[str, Tensor], cfg: ModelConfig, tokens: Sequence[Sequence[int]],
@@ -271,7 +276,8 @@ def tag_loss(pt: Mapping[str, Tensor], cfg: ModelConfig, tokens: Sequence[Sequen
 
     ``tokens`` lists the positive tags first, then the negatives.
     """
-    scores = EncodedTags.build(pt, cfg, tokens).logits(entity_index, score_scale)
+    encoded = EncodedTags.build(pt, cfg, tokens, TAG_READOUT[cfg.variant])
+    scores = encoded.logits([entity_index], score_scale)[:, 0]
     return tag_softmax_loss(scores, positive_count, weights)
 
 
@@ -328,7 +334,8 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
 def _encode_tags(params: ModelParams, vocab: Vocabulary,
                  tags: Sequence[str]) -> EncodedTags:
     return EncodedTags.build(wrap_tensors(params), params.config,
-                             [_tag_tokens(t, vocab) for t in tags])
+                             [_tag_tokens(t, vocab) for t in tags],
+                             TAG_READOUT[params.config.variant])
 
 
 def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
@@ -351,8 +358,8 @@ def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
     index = vocab.entity_index(entity_id)  # raises for unknown entities
     if encoded is None:
         encoded = _encode_tags(params, vocab, tags)
-    scores = encoded.logits(index, score_scale).data
-    if params.config.variant == "dual":
+    scores = encoded.logits([index], score_scale).data[:, 0]
+    if encoded.readout == "cosine":
         return scores
     return np.exp(scores.astype(np.float64))
 

@@ -36,10 +36,10 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor
-from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode_tensors,
-                      entity_row, hybrid_head_tensors, init_params,
-                      mlm_head_tensors, pad_rows, save_checkpoint,
-                      sentence_row, wrap_tensors)
+from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, cosine_head_tensors,
+                      encode_tensors, entity_row, flat_gather, hybrid_head_tensors,
+                      init_params, mlm_head_tensors, normalize_rows, pad_rows,
+                      save_checkpoint, sentence_row, wrap_tensors)
 from .errors import DataError, NumericError, TrainingDiverged
 from .numerics import AdamState, adam_step, value_and_grads
 from .text import CLS, MASK, PAD, SEP, CorpusExample, Vocabulary
@@ -176,13 +176,6 @@ class LossOutput:
     grads: dict[str, np.ndarray] = field(repr=False)
 
 
-def _normalize_rows(t: Tensor, what: str) -> Tensor:
-    norms_sq = (t * t).sum(axis=-1, keepdims=True)
-    if np.any(norms_sq.data < 1e-16):
-        raise NumericError(f"zero-norm {what} vector in cosine scoring")
-    return t / autodiff.sqrt(norms_sq)
-
-
 def _unique_candidates(entity_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse duplicate entities, keeping first-appearance order."""
     uniq, first = np.unique(entity_rows, return_index=True)
@@ -195,11 +188,9 @@ def _unique_candidates(entity_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _dual_term(pt: dict[str, Tensor], hidden: Tensor, batch: MaskedBatch,
                score_scale: float) -> Tensor:
-    cls = hidden[:, 0]
     candidates, targets = _unique_candidates(batch.entity_rows)
-    cand_vecs = pt["entity_table"][candidates]
-    scores = (_normalize_rows(cls, "sentence") @
-              _normalize_rows(cand_vecs, "entity").transpose(1, 0)) * score_scale
+    scores = cosine_head_tensors(pt, normalize_rows(hidden[:, 0], "sentence"),
+                                 candidates, score_scale)
     logp = autodiff.log_softmax(scores, axis=-1)
     picked = logp[np.arange(batch.size), targets]
     return -picked.mean()
@@ -209,11 +200,6 @@ def _masked_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = autodiff.log_softmax(logits, axis=-1)
     picked = logp[np.arange(len(labels)), labels]
     return -picked.mean()
-
-
-def _flat_gather(hidden: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
-    B, L, H = hidden.shape
-    return hidden.reshape(B * L, H)[row_idx * L + col_idx]
 
 
 def _word_mask_indices(batch: MaskedBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,8 +240,8 @@ def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     entity_term = 0.0
     mlm_term = 0.0
     if len(ent_rows):
-        h = _flat_gather(hidden, ent_rows,
-                         np.full(len(ent_rows), ENTITY_POSITION, dtype=np.int64))
+        h = flat_gather(hidden, ent_rows,
+                        np.full(len(ent_rows), ENTITY_POSITION, dtype=np.int64))
         ent_labels = np.asarray(
             [config.entity_token_id(int(e)) for e in batch.entity_rows[ent_rows]],
             dtype=np.int64)
@@ -263,7 +249,7 @@ def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
         entity_term = float(ce.data)
         terms.append(ce)
     if len(w_rows):
-        h = _flat_gather(hidden, w_rows, w_cols)
+        h = flat_gather(hidden, w_rows, w_cols)
         ce = _masked_ce(mlm_head_tensors(pt, h), w_labels)
         mlm_term = float(ce.data)
         if train.loss_mix != 0.0:
@@ -288,7 +274,7 @@ def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     mlm_term = 0.0
     w_rows, w_cols, w_labels = _word_mask_indices(batch)
     if len(w_rows):
-        h = _flat_gather(hidden, w_rows, w_cols)
+        h = flat_gather(hidden, w_rows, w_cols)
         ent_vecs = pt["entity_table"][batch.entity_rows[w_rows]]
         joined = autodiff.concat([h, ent_vecs], axis=-1)
         ce = _masked_ce(hybrid_head_tensors(pt, joined), w_labels)

@@ -276,11 +276,6 @@ def preprocess(raw_reviews: Iterable[tuple[str, str, str]], *,
     return examples, vocab
 
 
-def render_example(example: CorpusExample, vocab: Vocabulary) -> str:
-    """Sentence text for a corpus example (UNK renders as its marker)."""
-    return " ".join(vocab.detokenize(t) for t in example.tokens)
-
-
 # -- tag votes ------------------------------------------------------------------
 
 

@@ -54,6 +54,11 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def render_example(example, vocab):
+    """Sentence text for a corpus example (UNK renders as its marker)."""
+    return " ".join(vocab.detokenize(t) for t in example.tokens)
+
+
 def overlap_oracle_rank(attributes, query_words):
     """Ground-truth ranking by attribute overlap with the query words."""
     words = set(query_words)
@@ -103,6 +108,19 @@ def hybrid_mlm_logits_ref(rows, entity_vec, tensors):
 # ``tests/test_encoder.py`` pins the fused graph to them bit for bit.
 
 
+def softmax(a, axis=-1):
+    """Softmax node with its own backward; the fused attention's reference."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        autodiff._accum(a, out_data * (g - inner), owned=True)
+
+    return autodiff._node(out_data, (a,), backward)
+
+
 def composed_linear(x, w, b):
     return x @ w + b
 
@@ -117,7 +135,7 @@ def composed_attention(q, k, v, heads, bias):
     scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
     if bias is not None:
         scores = scores + autodiff.constant(bias)
-    probs = autodiff.softmax(scores, axis=-1)
+    probs = softmax(scores, axis=-1)
     return (probs @ split(v)).transpose(0, 2, 1, 3).reshape(B, L, H)
 
 

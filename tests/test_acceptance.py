@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import record_criterion, mixed_examples
+from conftest import record_criterion, mixed_examples, render_example
 from textent.encoder import ModelConfig, init_params
 from textent.evaluation import (EvalConfig, TfidfIndex, average_precision,
                                 evaluate_retrieval, evaluate_tag_scores, mrr,
@@ -409,7 +409,6 @@ def test_criterion_7_contract_suite(small_world, tmp_path):
     kept_entities = {ex.entity_id for ex in examples}
     checks["filter-5-reviews"] = kept_entities == {"m1"}
     checks["filter-5-words"] = len(examples) == 5
-    from textent.text import render_example
     scrubbed = all("movie" not in render_example(ex, pvocab).split()
                    for ex in examples)
     checks["name-scrub"] = scrubbed

@@ -253,10 +253,23 @@ class TestExitCodes:
         table[3] = 0.0
         table.tofile(path)
         query = read_queries(workdir / "data" / "queries.jsonl")[0].text
-        entity_id = Vocabulary.load(ckpt / "vocab.tsv").entity_ids[3]
         assert main(["retrieve", "--checkpoint", str(ckpt), "--query", query]) == 2
         captured = capsys.readouterr()
-        assert f"entity {entity_id!r} has a zero-norm embedding" in captured.err
+        assert f"query {query!r}: zero-norm entity vector in row 3 " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_bos_zero_norm_sentence_is_numeric_error(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        for name in ("layer0.ffn_ln_g", "layer0.ffn_ln_b"):  # every state becomes 0
+            np.zeros(16, dtype="<f4").tofile(ckpt / "tensors" / f"{name}.bin")
+        data = workdir / "data"
+        assert main(["evaluate", "--task", "retrieval", "--baseline", "bos",
+                     "--checkpoint", str(ckpt), "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries.jsonl")]) == 2
+        captured = capsys.readouterr()
+        entity_id = min(ex.entity_id for ex in read_corpus(data / "corpus.jsonl"))
+        assert f"entity {entity_id!r}: zero-norm sentence vector in row 0 " in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("split, baseline, problem", [

@@ -18,7 +18,7 @@ from textent.objectives import TrainingConfig, build_batch, pretrain_loss
 
 from conftest import (encode_tensors_composed, hybrid_head_composed,
                       hybrid_mlm_logits_ref, mixed_examples, mlm_head_composed,
-                      mlm_logits_ref)
+                      mlm_logits_ref, softmax)
 
 TOY = dict(layers=2, heads=2, hidden=16, ffn_hidden=32, max_seq_len=16,
            vocab_size=40, entity_count=4, entity_dim=16)
@@ -94,6 +94,14 @@ class TestEncode:
         with pytest.raises(DataError):
             encode([1, 5], [0], params)
 
+    def test_numpy_token_arrays(self):
+        params = toy_params()
+        want = encode([1, 5, 2], [0, 0, 0], params)
+        got = encode(np.array([1, 5, 2]), np.zeros(3, dtype=int), params)
+        assert got.hidden_states.tobytes() == want.hidden_states.tobytes()
+        with pytest.raises(DataError, match="empty"):
+            encode(np.array([], dtype=int), np.array([], dtype=int), params)
+
     def test_too_long_sequence(self):
         params = toy_params()
         with pytest.raises(DataError, match="max_seq_len"):
@@ -162,7 +170,7 @@ class TestMlmHeads:
         out = encode([1, 5, 6, 2], [0] * 4, params)
         logits = mlm_logits(out.hidden_states, [1, 2], params)
         for row in logits:
-            probs = autodiff.softmax(autodiff.constant(row)).data
+            probs = softmax(autodiff.constant(row)).data
             assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_position_bounds(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from textent.evaluation import (BosIndex, EvalConfig, TfidfIndex, average_precis
                                 ndcg_at_k, precision_at_k,
                                 rank_items, recall_at_k, relevance, roc_auc,
                                 top_tags_baseline, zero_shot_rank)
+from textent.finetune import predict_tag_scores
 from textent.text import CorpusExample, Query, TagVotes, build_vocab, tokenize
 
 from conftest import overlap_oracle_rank
@@ -326,15 +328,38 @@ class TestZeroShot:
     def test_zero_norm_entity_row_is_named(self, zero_shot_setup, small_world):
         params, vocab = self._dual64(zero_shot_setup), small_world.vocab
         params.tensors["entity_table"][2] = 0.0
-        with pytest.raises(NumericError,
-                           match=f"entity '{vocab.entity_ids[2]}' has a zero-norm"):
-            zero_shot_rank(params, vocab, small_world.queries[0].text)
+        query = small_world.queries[0].text
+        with pytest.raises(NumericError) as info:
+            zero_shot_rank(params, vocab, query)
+        assert str(info.value).startswith(f"query {query!r}: ")
+        assert "zero-norm entity vector in row 2 " in str(info.value)
 
     def test_zero_norm_query_encoding_is_named(self, zero_shot_setup, small_world):
         params = self._dual64(zero_shot_setup)
         params.tensors["layer0.ffn_ln_g"][:] = 0.0  # the last norm zeroes every state
-        with pytest.raises(NumericError, match="encodes to a zero-norm vector"):
-            zero_shot_rank(params, small_world.vocab, small_world.queries[0].text)
+        query = small_world.queries[0].text
+        with pytest.raises(NumericError) as info:
+            zero_shot_rank(params, small_world.vocab, query)
+        assert str(info.value).startswith(f"query {query!r}: ")
+        assert "zero-norm text vector in row 0 " in str(info.value)
+
+    @pytest.mark.parametrize("variant", ["dual", "full"])
+    def test_query_scores_like_a_tag_before_fine_tuning(self, zero_shot_setup,
+                                                        small_world, variant):
+        """A query is read through the tag readout: dual scores equal the tag
+        scores, and full scores are the log of the tag posterior."""
+        params, vocab = zero_shot_setup[variant], small_world.vocab
+        query = small_world.queries[0].text
+        ranked = zero_shot_rank(params, vocab, query)
+        got = np.asarray([dict(zip(ranked.ids, ranked.scores))[e]
+                          for e in vocab.entity_ids])
+        tag = np.asarray([predict_tag_scores(params, vocab, e, [query])[0]
+                          for e in vocab.entity_ids])
+        if variant == "full":
+            np.testing.assert_allclose(np.exp(got), tag, rtol=0, atol=1e-6)
+            assert abs(np.logaddexp.reduce(got)) < 1e-5
+        else:
+            np.testing.assert_allclose(got, tag, rtol=0, atol=1e-6)
 
     def test_oracle_overlap_ceiling_is_perfect_on_queries(self, small_world):
         ranked = [overlap_oracle_rank(small_world.attributes, q.text.split())
@@ -553,6 +578,25 @@ class TestTfidfMatchesReference:
         corpus = small_world.corpus[:3] + [CorpusExample("e0000", [5, bad])]
         with pytest.raises(DataError, match="outside the vocabulary"):
             TfidfIndex(corpus, small_world.vocab)
+
+
+class TestBosZeroNorm:
+    def test_zero_norm_sentence_names_the_entity(self, zero_shot_setup, small_world):
+        params = zero_shot_setup["dual"].copy()
+        params.tensors["layer0.ffn_ln_g"][:] = 0.0  # the last norm zeroes every state
+        with pytest.raises(NumericError) as info:
+            BosIndex(params, small_world.vocab, small_world.corpus)
+        assert str(info.value).startswith(f"entity {min(small_world.entity_ids)!r}: ")
+        assert "zero-norm sentence vector in row 0 " in str(info.value)
+
+    def test_zero_norm_query_is_named(self, zero_shot_setup, small_world):
+        params = zero_shot_setup["dual"].copy()
+        index = BosIndex(params, small_world.vocab, small_world.corpus)
+        params.tensors["layer0.ffn_ln_g"][:] = 0.0  # the index holds params by reference
+        query = small_world.queries[0].text
+        with pytest.raises(NumericError, match=re.escape(
+                f"query {query!r} encodes to a zero-norm vector")):
+            index.rank_query(query)
 
 
 class TestBosMatchesReference:

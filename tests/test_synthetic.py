@@ -4,9 +4,9 @@ import pytest
 
 from textent.errors import DataError
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
-from textent.text import UNK, render_example
+from textent.text import UNK
 
-from conftest import overlap_oracle_rank
+from conftest import overlap_oracle_rank, render_example
 
 SPEC = SyntheticWorldSpec(entities=10, attribute_vocab=30, attributes_per_entity=4,
                           sentences_per_entity=12, words_per_sentence=6,

@@ -11,8 +11,10 @@ from textent.errors import DataError
 from textent.text import (CLS, MASK, PAD, SEP, UNK, CorpusExample, Query,
                           TagVotes, Vocabulary, build_vocab, extend_with_entities,
                           normalize_words, preprocess, read_corpus, read_queries,
-                          read_raw_reviews, read_votes, render_example, tokenize, write_corpus,
+                          read_raw_reviews, read_votes, tokenize, write_corpus,
                           write_queries, write_votes)
+
+from conftest import render_example
 
 
 @pytest.fixture()
