@@ -523,18 +523,20 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     zero instead of NaN.
     """
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # sum / n is the mean numpy computes, without its Python-level wrapper;
+    # a new array, so integer input gives a float mean
+    mu = x.sum(axis=-1, keepdims=True) / n
     # np.var's own arithmetic, reusing x - mu for xhat
     xhat = x - mu
     var = np.square(xhat).sum(axis=-1, keepdims=True)
-    var /= x.shape[-1]
+    var /= n
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=var.dtype))
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
 
     def backward(g):
-        n = x.shape[-1]
         g2 = g.reshape(-1, n)
         xhat2 = xhat.reshape(-1, n)
         gxhat = g2 * xhat2
@@ -547,7 +549,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             dot = (gxhat @ gain_vec)[:, None]
             dot /= n
             gx = g2 * gain_vec
-            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= gx.sum(axis=-1, keepdims=True) / n
             gx -= np.multiply(xhat2, dot, out=gxhat)
             gx *= inv.reshape(-1, 1)
             _accum(a, gx.reshape(x.shape), owned=True)

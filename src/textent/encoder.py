@@ -16,12 +16,17 @@ share it:
 
 Checkpoints are a JSON manifest (format version 2) next to one raw
 little-endian float file per named tensor; loading validates the manifest
-and every shape against the config, and still reads version 1.
+and every shape against the config, and still reads version 1. Saving is
+crash-safe: the tensors go into a fresh subdirectory and the new manifest
+replaces the old one in one rename, so a failed save leaves the previous
+checkpoint loadable.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -389,11 +394,30 @@ _VERSION = 2
 _DTYPES = ("<f4", "<f8")
 # Version 1 full checkpoints also carry a classifier head that nothing reads.
 _V1_ONLY = ("cls_w", "cls_b")
+# The two tensor subdirectories a save alternates between: it writes the one
+# the current manifest does not use.
+_TENSOR_DIRS = ("tensors", "tensors.1")
 
 
 def save_checkpoint(params: ModelParams, directory: str | Path) -> None:
+    """Write ``params`` to ``directory``; a save that fails part-way leaves
+    the checkpoint that was there loadable and unchanged.
+
+    The tensors go into whichever of ``_TENSOR_DIRS`` the current manifest
+    does not use, the new manifest replaces the old one with ``os.replace``,
+    and the old tensor directory is removed last. Nothing else in
+    ``directory`` is touched.
+    """
     directory = Path(directory)
-    (directory / "tensors").mkdir(parents=True, exist_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        live = {top for meta in _read_manifest(directory)["tensors"].values()
+                for top in Path(meta["file"]).parts[:1]}
+    except DataError:
+        live = set()  # no loadable checkpoint to keep
+    subdir = _TENSOR_DIRS[1] if _TENSOR_DIRS[0] in live else _TENSOR_DIRS[0]
+    shutil.rmtree(directory / subdir, ignore_errors=True)  # a failed save's leftovers
+    (directory / subdir).mkdir()
     dtype = next(iter(params.tensors.values())).dtype
     code = "<f8" if dtype == np.float64 else "<f4"
     manifest = {
@@ -404,11 +428,16 @@ def save_checkpoint(params: ModelParams, directory: str | Path) -> None:
         "tensors": {},
     }
     for name, arr in sorted(params.tensors.items()):
-        fname = f"tensors/{name}.bin"
+        fname = f"{subdir}/{name}.bin"
         arr.astype(code).tofile(directory / fname)
         manifest["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
-    with open(directory / _MANIFEST, "w", encoding="utf-8") as fh:
+    staged = directory / f"{_MANIFEST}.tmp"
+    with open(staged, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
+    os.replace(staged, directory / _MANIFEST)
+    for old in _TENSOR_DIRS:
+        if old != subdir:
+            shutil.rmtree(directory / old, ignore_errors=True)
 
 
 def _read_manifest(directory: Path) -> dict:

@@ -137,23 +137,6 @@ def _tag_tokens(tag: str, vocab: Vocabulary) -> list[int]:
     return tokenize(tag, vocab) or [UNK]
 
 
-def _step_data(votes: TagVotes, entity_id: str, allowed_tags: set[str] | None,
-               config: FinetuneConfig, rng: np.random.Generator,
-               ) -> tuple[list[tuple[str, float]], list[str]]:
-    """Weighted positives and sampled negatives for one entity step."""
-    vocab_tags = ([t for t in votes.tags if t in allowed_tags]
-                  if allowed_tags is not None else votes.tags)
-    positives = [(t, example_weight(c, config.weight_mode))
-                 for t, c in votes.positives(entity_id)
-                 if allowed_tags is None or t in allowed_tags]
-    if not positives:
-        return [], []
-    negatives = sample_negatives(entity_id, vocab_tags,
-                                 [t for t, _ in positives],
-                                 config.negative_rate, rng)
-    return positives, negatives
-
-
 # -- the tag readout ----------------------------------------------------------------
 
 
@@ -287,14 +270,29 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
     """Tag-softmax fine-tuning of any variant; the input params are not changed.
 
     ``train_entities`` defaults to every entity with votes; ``allowed_tags``
-    (open protocol) keeps every other tag out of training. A non-finite loss
-    or gradient raises ``TrainingDiverged`` naming the epoch and the entity.
+    (open protocol) keeps every other tag out of training. Each training
+    entity's tag-sorted positives and weights, the allowed tags and every
+    tag's tokens are looked up once per call, so a step only samples its
+    negatives. A non-finite loss or gradient raises ``TrainingDiverged``
+    naming the epoch and the entity.
     """
     config.validate()
-    params = params.copy()
+    params = ModelParams(params.config, dict(params.tensors))  # for_params copies the tensors
     cfg = params.config
     if train_entities is None:
         train_entities = votes.entity_ids()
+    tags = ([t for t in votes.tags if t in allowed_tags]
+            if allowed_tags is not None else votes.tags)
+    tag_tokens = {t: _tag_tokens(t, vocab) for t in tags}
+    by_entity = votes.positives_by_entity()
+    plan: dict[str, tuple[list[str], np.ndarray]] = {}
+    for entity_id in train_entities:
+        pairs = [(t, c) for t, c in by_entity.get(entity_id, ())
+                 if allowed_tags is None or t in allowed_tags]
+        if pairs:
+            plan[entity_id] = ([t for t, _ in pairs],
+                               np.asarray([example_weight(c, config.weight_mode)
+                                           for _, c in pairs]))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     state = AdamState.for_params(params.tensors, lr=config.lr)
     result = FinetuneResult(params)
@@ -303,14 +301,17 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
         epoch_loss, steps = 0.0, 0
         for i in order:
             entity_id = train_entities[i]
-            positives, negatives = _step_data(votes, entity_id, allowed_tags, config, rng)
-            if not positives or not negatives:
+            if entity_id not in plan:
+                continue
+            positives, weights = plan[entity_id]
+            negatives = sample_negatives(entity_id, tags, positives,
+                                         config.negative_rate, rng)
+            if not negatives:
                 continue  # a lone candidate is a certainty: zero loss, no step
-            candidates = [t for t, _ in positives] + negatives
+            candidates = positives + negatives
             result.used_tags.update(candidates)
-            tokens = [_tag_tokens(t, vocab) for t in candidates]
+            tokens = [tag_tokens[t] for t in candidates]
             index = vocab.entity_index(entity_id)
-            weights = np.asarray([w for _, w in positives])
             try:
                 loss, grads = value_and_grads(
                     lambda pt: tag_loss(pt, cfg, tokens, index, len(positives), weights,

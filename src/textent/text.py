@@ -310,7 +310,14 @@ class TagVotes:
 
     def positives(self, entity_id: str) -> list[tuple[str, int]]:
         """(tag, votes) pairs for an entity, sorted by tag."""
-        return sorted((t, c) for (e, t), c in self.counts.items() if e == entity_id)
+        return self.positives_by_entity().get(entity_id, [])
+
+    def positives_by_entity(self) -> dict[str, list[tuple[str, int]]]:
+        """``positives`` of every entity with votes, in one pass."""
+        grouped: dict[str, list[tuple[str, int]]] = {}
+        for (entity_id, tag), count in self.counts.items():
+            grouped.setdefault(entity_id, []).append((tag, count))
+        return {e: sorted(pairs) for e, pairs in grouped.items()}
 
 
 # -- file io --------------------------------------------------------------------

@@ -100,6 +100,38 @@ def hybrid_mlm_logits_ref(rows, entity_vec, tensors):
     return x @ t["hyb_out_w"] + t["hyb_out_b"]
 
 
+# -- the per-tensor optimizer the flat one replaces --------------------------------
+
+
+def adam_step_per_tensor(params, grads, state):
+    """Adam one tensor at a time, with ``state.m``/``state.v`` as plain dicts.
+
+    The optimizer before it moved to flat buffers, kept as the oracle that
+    ``numerics.adam_step`` must match bit for bit: the same 14 in-place
+    operations in the same order, per tensor instead of per chunk.
+    """
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        s1, s2 = np.empty_like(p), np.empty_like(p)
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=s1)
+        v *= state.beta2
+        np.multiply(g, g, out=s2)
+        s2 *= 1.0 - state.beta2
+        v += s2
+        np.divide(m, c1, out=s1)
+        s1 *= state.lr
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p -= s1
+
+
 # -- the composed graph the fused nodes replace ------------------------------------
 #
 # The encoder and heads run ``autodiff.linear`` and ``autodiff.attention``.

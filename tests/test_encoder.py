@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from textent import autodiff, objectives
-from textent.encoder import (ENTITY_POSITION, ModelConfig, encode, encode_rows,
+from textent.encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode, encode_rows,
                              encode_tensors, entity_matrix, entity_row,
                              expected_shapes, hybrid_head_tensors, init_params,
                              load_checkpoint, mlm_logits, save_checkpoint,
@@ -342,6 +342,43 @@ class TestCheckpoints:
         (directory / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataError, match=r"unexpected \['cls_b', 'cls_w'\]"):
             load_checkpoint(directory)
+
+    @pytest.mark.parametrize("k", [0, 7, -1])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, k):
+        """The k-th tensor write raises: the checkpoint saved before still
+        loads bit-identically, and what pretraining and the CLI keep beside
+        it survives every save."""
+        ckpt = tmp_path / "ckpt"
+        old = toy_params("hybrid", seed=1, dtype=np.float32)
+        new = toy_params("hybrid", seed=2, dtype=np.float32)
+        save_checkpoint(old, ckpt)
+        (ckpt / "step_000010").mkdir()
+        (ckpt / "metrics.jsonl").write_text("{}\n")
+        name = sorted(new.tensors)[k]
+        broken = ModelParams(new.config, {**new.tensors,
+                                          name: new.tensors[name].view(_FailingWrite)})
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(broken, ckpt)
+        _assert_bit_identical(load_checkpoint(ckpt), old)
+        save_checkpoint(new, ckpt)
+        _assert_bit_identical(load_checkpoint(ckpt), new)
+        save_checkpoint(old, ckpt)
+        _assert_bit_identical(load_checkpoint(ckpt), old)
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            "manifest.json", "metrics.jsonl", "step_000010", "tensors"]
+
+
+class _FailingWrite(np.ndarray):
+    """An array whose write to disk fails, as on a full disk."""
+
+    def tofile(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
+def _assert_bit_identical(loaded, params):
+    assert loaded.config == params.config and set(loaded.tensors) == set(params.tensors)
+    for name, arr in params.tensors.items():
+        assert loaded.tensors[name].tobytes() == arr.tobytes(), name
 
 
 @pytest.fixture

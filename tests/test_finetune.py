@@ -8,12 +8,12 @@ import pytest
 
 from textent.encoder import ModelConfig, encode, init_params, sentence_row
 from textent.errors import DataError, TrainingDiverged
-from textent.finetune import (FinetuneConfig, example_weight, predict_tag_scores,
+from textent.finetune import (PROTOCOLS, FinetuneConfig, example_weight, predict_tag_scores,
                               run_finetune, sample_negatives, score_tag_matrix,
                               split_holdout, export_predictions, tag_loss)
 from textent.numerics import grad_check
 from textent.objectives import TrainingConfig, pretrain
-from textent.text import MASK, tokenize
+from textent.text import MASK, TagVotes, tokenize
 
 from conftest import hybrid_mlm_logits_ref
 
@@ -129,6 +129,15 @@ class TestFrozenEntityEmbeddings:
         for k in params.tensors:
             np.testing.assert_array_equal(params.tensors[k], result.params.tensors[k])
 
+    def test_training_leaves_input_params_unchanged(self, trained, small_world):
+        params = trained["hybrid"]
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        result = run_finetune(params, small_world.votes,
+                              FinetuneConfig(epochs=1, seed=0), small_world.vocab)
+        for k, arr in before.items():
+            assert params.tensors[k].tobytes() == arr.tobytes(), k
+            assert not np.shares_memory(params.tensors[k], result.params.tensors[k]), k
+
 
 class TestDivergence:
     @pytest.mark.parametrize("variant", ["full", "dual", "hybrid"])
@@ -149,6 +158,32 @@ class TestOpenVocabulary:
                                   small_world.vocab, allowed_tags=set(train_tags))
             assert result.used_tags
             assert not result.used_tags & set(held_tags)
+
+
+class TestPlan:
+    """Each step reads its positives from a plan built once per run; the plan
+    sorts them by tag, so the order votes were added in cannot matter."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("variant", ["dual", "hybrid", "full"])
+    def test_reversed_insertion_order_is_bit_identical(self, variant, protocol,
+                                                       trained, small_world):
+        votes = small_world.votes
+        reversed_votes = TagVotes(tags=list(votes.tags))
+        for (entity_id, tag), count in reversed(list(votes.counts.items())):
+            reversed_votes.add(entity_id, tag, count)
+        assert list(reversed_votes.counts) != list(votes.counts)
+        kwargs = {"train_entities": votes.entity_ids()[2:]}
+        if protocol == "open":
+            train_tags, _ = split_holdout(votes.tags, 0.2, np.random.default_rng(17))
+            kwargs = {"allowed_tags": set(train_tags)}
+        cfg = FinetuneConfig(epochs=2, seed=3, protocol=protocol, weight_mode="linear")
+        a = run_finetune(trained[variant], votes, cfg, small_world.vocab, **kwargs)
+        b = run_finetune(trained[variant], reversed_votes, cfg, small_world.vocab, **kwargs)
+        assert a.used_tags and a.used_tags == b.used_tags
+        assert a.metrics == b.metrics
+        for name, arr in a.params.tensors.items():
+            assert arr.tobytes() == b.params.tensors[name].tobytes(), name
 
 
 class TestPredictTagScores:

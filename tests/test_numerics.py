@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textent import autodiff
+from textent import autodiff, numerics
 from textent.encoder import ModelConfig, encode_tensors, init_params
 from textent.errors import DataError, NumericError
 from textent.numerics import AdamState, adam_step, grad_check, value_and_grads
 
-from conftest import layer_norm_ref
+from conftest import adam_step_per_tensor, layer_norm_ref
 
 
 # The models call the autodiff ops; these run them on constants.
@@ -159,6 +159,104 @@ class TestAdam:
         state = AdamState.for_params(params)
         with pytest.raises(DataError, match="emb"):
             adam_step(params, {"emb": np.zeros((3, 2))}, state)
+
+
+# Odd shapes, an empty and a 0-d tensor, over more than two chunks in float32.
+FLAT_SHAPES = {"emb": (257, 301), "bias": (13,), "empty": (0, 4), "scalar": (),
+               "cube": (3, 5, 7), "long": (70001,), "gain": (1,)}
+
+
+def _odd_params():
+    rng = np.random.default_rng(8)
+    return {k: rng.normal(size=s).astype(np.float32) for k, s in FLAT_SHAPES.items()}
+
+
+def _snapshot(params, state):
+    return ([{k: v.tobytes() for k, v in d.items()} for d in (params, state.m, state.v)],
+            state.step)
+
+
+class TestFlatAdam:
+    """The flat, chunked optimizer against the per-tensor one it replaced."""
+
+    def test_bit_equal_to_per_tensor_oracle_over_five_steps(self):
+        params = _odd_params()
+        assert sum(p.size for p in params.values()) > 2 * numerics._CHUNK
+        ref = {k: p.copy() for k, p in params.items()}
+        state = AdamState.for_params(params, lr=3e-3)
+        ref_state = AdamState(lr=3e-3, m={k: np.zeros_like(p) for k, p in ref.items()},
+                              v={k: np.zeros_like(p) for k, p in ref.items()})
+        rng = np.random.default_rng(9)
+        for step in range(5):
+            grads = {k: rng.normal(scale=10.0 ** (step - 2), size=p.shape).astype(np.float32)
+                     for k, p in ref.items()}
+            grads["gain"][:] = 0.0  # zero gradient, zero moments: bit-identical
+            adam_step(params, grads, state)
+            adam_step_per_tensor(ref, grads, ref_state)
+        assert state.step == ref_state.step == 5
+        for mine, theirs in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+            for k in FLAT_SHAPES:
+                assert mine[k].dtype == np.float32 and mine[k].shape == FLAT_SHAPES[k]
+                assert mine[k].tobytes() == theirs[k].tobytes(), k
+        assert params["gain"].tobytes() == _odd_params()["gain"].tobytes()
+
+    def test_for_params_leaves_views_of_one_buffer(self):
+        params = _odd_params()
+        originals = {k: p for k, p in params.items()}
+        state = AdamState.for_params(params)
+        base = params["emb"].base
+        assert base is not None
+        for k, p in params.items():
+            assert p is not originals[k], k
+            assert p.size == 0 or np.shares_memory(p, base), k
+            np.testing.assert_array_equal(p, originals[k])
+        held = params["long"]
+        adam_step(params, {k: np.ones_like(p) for k, p in params.items()}, state)
+        assert held is params["long"]  # updated in place, through the view
+        np.testing.assert_array_less(held, originals["long"])
+        np.testing.assert_array_equal(originals["emb"], _odd_params()["emb"])
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(DataError, match="mix dtypes"):
+            AdamState.for_params({"a": np.zeros(2), "b": np.zeros(2, np.float32)})
+
+    def test_missing_gradient_names_parameter(self):
+        params = _odd_params()
+        state = AdamState.for_params(params)
+        grads = {k: np.zeros_like(p) for k, p in params.items() if k != "cube"}
+        before = _snapshot(params, state)
+        with pytest.raises(DataError, match="no gradient for parameter 'cube'"):
+            adam_step(params, grads, state)
+        assert _snapshot(params, state) == before
+
+    @pytest.mark.parametrize("how", ["copied", "replaced", "added", "removed"])
+    def test_dict_not_prepared_names_parameter(self, how):
+        params = _odd_params()
+        state = AdamState.for_params(params)
+        grads = {k: np.zeros_like(p) for k, p in params.items()}
+        if how == "copied":
+            params = {k: p.copy() for k, p in params.items()}
+        elif how == "replaced":
+            params["bias"] = params["bias"].copy()
+        elif how == "added":
+            params["bias2"] = grads["bias2"] = np.zeros(3, np.float32)
+        else:
+            del params["bias"]
+        with pytest.raises(DataError, match="'bias|'emb"):
+            adam_step(params, grads, state)
+        assert state.step == 0
+
+    def test_nan_in_last_chunk_names_parameter_and_mutates_nothing(self):
+        params = _odd_params()
+        state = AdamState.for_params(params, lr=0.1)
+        grads = {k: np.full_like(p, 0.5) for k, p in params.items()}
+        adam_step(params, grads, state)
+        before = _snapshot(params, state)
+        last = list(params)[-1]  # "gain", the last element of the last chunk
+        grads[last][-1] = np.nan
+        with pytest.raises(NumericError, match=f"'{last}'"):
+            adam_step(params, grads, state)
+        assert _snapshot(params, state) == before
 
 
 class TestGradCheck:

@@ -231,6 +231,16 @@ class TestFileFormats:
         assert loaded.counts == votes.counts
         assert loaded.tags == ["dark", "funny"]
 
+    def test_positives_sorted_by_tag_whatever_the_insertion_order(self):
+        votes = TagVotes()
+        for entity_id, tag, count in [("m2", "funny", 1), ("m1", "funny", 3),
+                                      ("m1", "dark", 2), ("m2", "absurd", 4)]:
+            votes.add(entity_id, tag, count)
+        assert votes.positives_by_entity() == {"m1": [("dark", 2), ("funny", 3)],
+                                               "m2": [("absurd", 4), ("funny", 1)]}
+        assert votes.positives("m1") == [("dark", 2), ("funny", 3)]
+        assert votes.positives("m3") == []
+
     @pytest.mark.parametrize("reader, row, problem", [
         (read_votes, '{"entity_id": "m1", "tag": "t", "votes": "many"}', "'votes' is 'many'"),
         (read_votes, '{"entity_id": "m1", "votes": 2}', "no 'tag'"),
