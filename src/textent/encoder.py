@@ -204,12 +204,23 @@ class EncoderOutput:
 
 def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
                    input_ids: np.ndarray, segment_ids: np.ndarray,
-                   pad_mask: np.ndarray | None = None) -> Tensor:
+                   pad_mask: np.ndarray | None = None,
+                   read: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Autodiff forward pass over a padded batch.
 
     ``input_ids``/``segment_ids`` are [batch, seq]; ``pad_mask`` is a bool
     array marking real (non-PAD) positions. Returns hidden states
     [batch, seq, hidden].
+
+    ``read = (rows, cols)`` asks only for the states at positions
+    ``(rows[i], cols[i])``, in that order (repeats allowed), and returns
+    them as [n, hidden]: ``flat_gather`` of the full output, computed
+    without the unread rows. The last layer's attention still runs over
+    every position, because every position is a key and a value for the
+    positions read; its context and residual are then gathered at the read
+    positions, and the output projection, both layer norms and the
+    feed-forward run on those n rows alone. With no layers the embedding
+    layer norm's output is gathered.
     """
     ids = np.asarray(input_ids)
     segs = np.asarray(segment_ids)
@@ -220,6 +231,8 @@ def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
 
     x = pt["token_emb"][ids] + pt["pos_emb"][:L] + pt["seg_emb"][segs]
     x = autodiff.layer_norm(x, pt["emb_ln_g"], pt["emb_ln_b"])
+    if read is not None and config.layers == 0:
+        return flat_gather(x, *read)
 
     bias = None
     if pad_mask is not None:
@@ -235,6 +248,8 @@ def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
                                     _linear(x, "attn_k_w", "attn_k_b"),
                                     _linear(x, "attn_v_w", "attn_v_b"),
                                     config.heads, bias)
+        if read is not None and i == config.layers - 1:
+            ctx, x = flat_gather(ctx, *read), flat_gather(x, *read)
         attn_out = _linear(ctx, "attn_o_w", "attn_o_b")
         x = autodiff.layer_norm(x + attn_out, pt[pre + "attn_ln_g"], pt[pre + "attn_ln_b"])
         inner = autodiff.gelu(_linear(x, "ffn_w1", "ffn_b1"))

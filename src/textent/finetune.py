@@ -95,11 +95,22 @@ def sample_negatives(entity_id: str, tag_vocab: Sequence[str],
     """Draw ``floor(rate * len(tag_vocab))`` tags uniformly, never positives."""
     if not 0.0 < rate <= 1.0:
         raise DataError("negative rate must be in (0, 1]")
+    pool, count = _negative_pool(entity_id, tag_vocab, positives, rate)
+    return _draw_negatives(pool, count, rng) if pool else []
+
+
+def _negative_pool(entity_id: str, tag_vocab: Sequence[str], positives: Iterable[str],
+                   rate: float) -> tuple[list[str], int]:
+    """The sorted tags ``entity_id`` may draw as negatives, and how many."""
     pool = sorted(set(tag_vocab) - set(positives))
     if not pool:
         warnings.warn(f"no negative candidates left for {entity_id}")
-        return []
-    count = min(int(rate * len(tag_vocab)), len(pool))
+    return pool, min(int(rate * len(tag_vocab)), len(pool))
+
+
+def _draw_negatives(pool: Sequence[str], count: int,
+                    rng: np.random.Generator) -> list[str]:
+    """``count`` distinct tags of a non-empty ``pool``, in pool order."""
     picked = rng.choice(len(pool), size=count, replace=False)
     return [pool[i] for i in sorted(picked)]
 
@@ -225,15 +236,17 @@ class EncodedTags:
                                     layout.pad_mask)
             return cls(readout, pt,
                        flat_gather(hidden, layout.token_rows, layout.token_cols), layout)
+        # cosine reads each text's [CLS], posterior its entity slot
+        col = ENTITY_POSITION if readout == "posterior" else 0
+        read = (np.arange(len(tokens)), np.full(len(tokens), col, dtype=np.int64))
         if readout == "posterior":
             rows = pad_rows(*zip(*(entity_row(MASK, t, cfg) for t in tokens)))
-            hidden = encode_tensors(pt, cfg, *rows)
-            logits = mlm_head_tensors(pt, hidden[:, ENTITY_POSITION],
+            logits = mlm_head_tensors(pt, encode_tensors(pt, cfg, *rows, read=read),
                                       slice(cfg.word_vocab_size, None))
             return cls(readout, pt, autodiff.log_softmax(logits, axis=-1))
         rows = pad_rows(*zip(*(sentence_row(t, cfg) for t in tokens)))
-        hidden = encode_tensors(pt, cfg, *rows)
-        return cls(readout, pt, normalize_rows(hidden[:, 0], "text"))
+        return cls(readout, pt, normalize_rows(encode_tensors(pt, cfg, *rows, read=read),
+                                               "text"))
 
     def logits(self, entities: Sequence[int] | np.ndarray, score_scale: float) -> Tensor:
         """Scores [texts, len(entities)]; ``score_scale`` scales only ``cosine``."""
@@ -264,6 +277,27 @@ def tag_loss(pt: Mapping[str, Tensor], cfg: ModelConfig, tokens: Sequence[Sequen
     return tag_softmax_loss(scores, positive_count, weights)
 
 
+def _finetune_plan(votes: TagVotes, tags: Sequence[str], train_entities: Sequence[str],
+                   allowed_tags: set[str] | None, config: FinetuneConfig,
+                   ) -> dict[str, tuple[list[str], np.ndarray, list[str], int]]:
+    """Per training entity with an allowed positive and a negative to draw:
+    its tag-sorted positives, their weights, its negative pool and the
+    number of negatives a step draws from it."""
+    by_entity = votes.positives_by_entity()
+    plan = {}
+    for entity_id in train_entities:
+        pairs = [(t, c) for t, c in by_entity.get(entity_id, ())
+                 if allowed_tags is None or t in allowed_tags]
+        if not pairs:
+            continue
+        positives = [t for t, _ in pairs]
+        pool, count = _negative_pool(entity_id, tags, positives, config.negative_rate)
+        if pool:  # with none, a lone candidate is a certainty: zero loss, no step
+            weights = np.asarray([example_weight(c, config.weight_mode) for _, c in pairs])
+            plan[entity_id] = (positives, weights, pool, count)
+    return plan
+
+
 def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
                  vocab: Vocabulary, train_entities: Sequence[str] | None = None,
                  allowed_tags: set[str] | None = None) -> FinetuneResult:
@@ -271,10 +305,10 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
 
     ``train_entities`` defaults to every entity with votes; ``allowed_tags``
     (open protocol) keeps every other tag out of training. Each training
-    entity's tag-sorted positives and weights, the allowed tags and every
-    tag's tokens are looked up once per call, so a step only samples its
-    negatives. A non-finite loss or gradient raises ``TrainingDiverged``
-    naming the epoch and the entity.
+    entity's tag-sorted positives and weights, its negative pool, the
+    allowed tags and every tag's tokens are looked up once per call, so a
+    step only draws its negatives. A non-finite loss or gradient raises
+    ``TrainingDiverged`` naming the epoch and the entity.
     """
     config.validate()
     params = ModelParams(params.config, dict(params.tensors))  # for_params copies the tensors
@@ -284,15 +318,7 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
     tags = ([t for t in votes.tags if t in allowed_tags]
             if allowed_tags is not None else votes.tags)
     tag_tokens = {t: _tag_tokens(t, vocab) for t in tags}
-    by_entity = votes.positives_by_entity()
-    plan: dict[str, tuple[list[str], np.ndarray]] = {}
-    for entity_id in train_entities:
-        pairs = [(t, c) for t, c in by_entity.get(entity_id, ())
-                 if allowed_tags is None or t in allowed_tags]
-        if pairs:
-            plan[entity_id] = ([t for t, _ in pairs],
-                               np.asarray([example_weight(c, config.weight_mode)
-                                           for _, c in pairs]))
+    plan = _finetune_plan(votes, tags, train_entities, allowed_tags, config)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     state = AdamState.for_params(params.tensors, lr=config.lr)
     result = FinetuneResult(params)
@@ -303,9 +329,8 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
             entity_id = train_entities[i]
             if entity_id not in plan:
                 continue
-            positives, weights = plan[entity_id]
-            negatives = sample_negatives(entity_id, tags, positives,
-                                         config.negative_rate, rng)
+            positives, weights, pool, count = plan[entity_id]
+            negatives = _draw_negatives(pool, count, rng)
             if not negatives:
                 continue  # a lone candidate is a certainty: zero loss, no step
             candidates = positives + negatives

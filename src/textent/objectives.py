@@ -37,7 +37,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, cosine_head_tensors,
-                      encode_tensors, entity_row, flat_gather, hybrid_head_tensors,
+                      encode_tensors, entity_row, hybrid_head_tensors,
                       init_params, mlm_head_tensors, normalize_rows, pad_rows,
                       save_checkpoint, sentence_row, wrap_tensors)
 from .errors import DataError, NumericError, TrainingDiverged
@@ -186,10 +186,11 @@ def _unique_candidates(entity_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return candidates, targets
 
 
-def _dual_term(pt: dict[str, Tensor], hidden: Tensor, batch: MaskedBatch,
+def _dual_term(pt: dict[str, Tensor], cls: Tensor, batch: MaskedBatch,
                score_scale: float) -> Tensor:
+    """In-batch softmax over the rows' [CLS] states ``cls`` [B, H]."""
     candidates, targets = _unique_candidates(batch.entity_rows)
-    scores = cosine_head_tensors(pt, normalize_rows(hidden[:, 0], "sentence"),
+    scores = cosine_head_tensors(pt, normalize_rows(cls, "sentence"),
                                  candidates, score_scale)
     logp = autodiff.log_softmax(scores, axis=-1)
     picked = logp[np.arange(batch.size), targets]
@@ -211,13 +212,18 @@ def _word_mask_indices(batch: MaskedBatch) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, cols, labels
 
 
+def _cls_read(batch: MaskedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """``encode_tensors`` read positions of every row's [CLS]."""
+    return np.arange(batch.size), np.zeros(batch.size, dtype=np.int64)
+
+
 def dual_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
                train: TrainingConfig) -> tuple[Tensor, float, float]:
     """In-batch-negative softmax loss; the candidate set is the batch's
     unique entities, so a batch of one is a free win (loss 0)."""
-    hidden = encode_tensors(pt, config, batch.input_ids,
-                            batch.segment_ids, batch.pad_mask)
-    loss = _dual_term(pt, hidden, batch, train.score_scale)
+    cls = encode_tensors(pt, config, batch.input_ids, batch.segment_ids,
+                         batch.pad_mask, read=_cls_read(batch))
+    loss = _dual_term(pt, cls, batch, train.score_scale)
     return loss, float(loss.data), 0.0
 
 
@@ -228,20 +234,23 @@ def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     contributes zero.
 
     When no term carries weight the total is a constant 0, and when
-    nothing is masked the encoder does not run.
+    nothing is masked the encoder does not run. The encoder's last layer
+    runs only at the masked entity slots, then the masked words.
     """
     ent_rows = np.flatnonzero(batch.entity_masked)
     w_rows, w_cols, w_labels = _word_mask_indices(batch)
-    if len(ent_rows) == 0 and len(w_rows) == 0:
+    n_ent = len(ent_rows)
+    if n_ent == 0 and len(w_rows) == 0:
         return autodiff.constant(0.0), 0.0, 0.0
-    hidden = encode_tensors(pt, config, batch.input_ids,
-                            batch.segment_ids, batch.pad_mask)
+    read = (np.concatenate([ent_rows, w_rows]),
+            np.concatenate([np.full(n_ent, ENTITY_POSITION, dtype=np.int64), w_cols]))
+    states = encode_tensors(pt, config, batch.input_ids, batch.segment_ids,
+                            batch.pad_mask, read=read)
     terms: list[Tensor] = []
     entity_term = 0.0
     mlm_term = 0.0
-    if len(ent_rows):
-        h = flat_gather(hidden, ent_rows,
-                        np.full(len(ent_rows), ENTITY_POSITION, dtype=np.int64))
+    if n_ent:
+        h = states[:n_ent]
         ent_labels = np.asarray(
             [config.entity_token_id(int(e)) for e in batch.entity_rows[ent_rows]],
             dtype=np.int64)
@@ -249,7 +258,7 @@ def full_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
         entity_term = float(ce.data)
         terms.append(ce)
     if len(w_rows):
-        h = flat_gather(hidden, w_rows, w_cols)
+        h = states[n_ent:]
         ce = _masked_ce(mlm_head_tensors(pt, h), w_labels)
         mlm_term = float(ce.data)
         if train.loss_mix != 0.0:
@@ -265,16 +274,20 @@ def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     """Dual term plus masked-word cross-entropy through the concat head.
 
     With no masked positions (or loss_mix 0) this equals the dual loss on
-    the same rows exactly.
+    the same rows exactly: the encoder then reads only the [CLS] states, as
+    dual's does. Otherwise it reads them and then the masked words.
     """
-    hidden = encode_tensors(pt, config, batch.input_ids,
-                            batch.segment_ids, batch.pad_mask)
-    total = _dual_term(pt, hidden, batch, train.score_scale)
+    w_rows, w_cols, w_labels = _word_mask_indices(batch)
+    rows, cols = _cls_read(batch)
+    states = encode_tensors(pt, config, batch.input_ids, batch.segment_ids,
+                            batch.pad_mask, read=(np.concatenate([rows, w_rows]),
+                                                  np.concatenate([cols, w_cols])))
+    B = batch.size
+    total = _dual_term(pt, states[:B], batch, train.score_scale)
     entity_term = float(total.data)
     mlm_term = 0.0
-    w_rows, w_cols, w_labels = _word_mask_indices(batch)
     if len(w_rows):
-        h = flat_gather(hidden, w_rows, w_cols)
+        h = states[B:]
         ent_vecs = pt["entity_table"][batch.entity_rows[w_rows]]
         joined = autodiff.concat([h, ent_vecs], axis=-1)
         ce = _masked_ce(hybrid_head_tensors(pt, joined), w_labels)
@@ -314,9 +327,8 @@ def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
     if len(rows) == 0:
         return float("nan")
     pt = wrap_tensors(params)
-    hidden = encode_tensors(pt, cfg, batch.input_ids, batch.segment_ids,
-                            batch.pad_mask)
-    h = autodiff.constant(hidden.data[rows, ENTITY_POSITION])
+    h = encode_tensors(pt, cfg, batch.input_ids, batch.segment_ids, batch.pad_mask,
+                       read=(rows, np.full(len(rows), ENTITY_POSITION, dtype=np.int64)))
     logits = mlm_head_tensors(pt, h).data
     truth = np.asarray([cfg.entity_token_id(int(e)) for e in batch.entity_rows[rows]])
     if restrict_to_entities:

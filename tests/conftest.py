@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erf
 
 from textent import autodiff
-from textent.encoder import ModelConfig
+from textent.encoder import ModelConfig, flat_gather
 from textent.evaluation import rank_items
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
 
@@ -171,11 +171,14 @@ def composed_attention(q, k, v, heads, bias):
     return (probs @ split(v)).transpose(0, 2, 1, 3).reshape(B, L, H)
 
 
-def encode_tensors_composed(pt, config, input_ids, segment_ids, pad_mask=None):
-    """``encoder.encode_tensors`` with every fused node replaced by its chain."""
+def encode_tensors_composed(pt, config, input_ids, segment_ids, pad_mask=None, read=None):
+    """``encoder.encode_tensors`` with every fused node replaced by its chain;
+    ``read`` gathers at the same point of the last layer."""
     B, L = np.shape(input_ids)
     x = pt["token_emb"][input_ids] + pt["pos_emb"][:L] + pt["seg_emb"][segment_ids]
     x = autodiff.layer_norm(x, pt["emb_ln_g"], pt["emb_ln_b"])
+    if read is not None and config.layers == 0:
+        return flat_gather(x, *read)
     bias = None
     if pad_mask is not None:
         bias = np.where(pad_mask, 0.0, -1e9).astype(x.dtype).reshape(B, 1, 1, L)
@@ -183,6 +186,8 @@ def encode_tensors_composed(pt, config, input_ids, segment_ids, pad_mask=None):
         p = {k[len(f"layer{i}."):]: t for k, t in pt.items() if k.startswith(f"layer{i}.")}
         q, k, v = (composed_linear(x, p[f"attn_{n}_w"], p[f"attn_{n}_b"]) for n in "qkv")
         ctx = composed_attention(q, k, v, config.heads, bias)
+        if read is not None and i == config.layers - 1:
+            ctx, x = flat_gather(ctx, *read), flat_gather(x, *read)
         attn_out = composed_linear(ctx, p["attn_o_w"], p["attn_o_b"])
         x = autodiff.layer_norm(x + attn_out, p["attn_ln_g"], p["attn_ln_b"])
         inner = autodiff.gelu(composed_linear(x, p["ffn_w1"], p["ffn_b1"]))

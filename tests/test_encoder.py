@@ -131,6 +131,84 @@ class TestEncode:
         assert out.cls_vector.tobytes() == rows[0, 0].tobytes()
 
 
+class TestReadPositions:
+    """``encode_tensors(read=(rows, cols))`` returns what ``flat_gather`` of
+    the full forward returns, with the last layer run on the read rows only."""
+
+    # a padded batch read out of order, with a repeat and a padded position
+    ROWS = np.array([2, 0, 1, 0, 2, 1, 2])
+    COLS = np.array([4, 0, 6, 0, 1, 0, 7])
+
+    @staticmethod
+    def _batch(config):
+        rng = np.random.default_rng(11)
+        ids = rng.integers(5, config.vocab_size, size=(3, 8))
+        segs = (np.arange(8) >= 4).astype(np.int64) * np.ones((3, 1), dtype=np.int64)
+        mask = np.ones((3, 8), dtype=bool)
+        mask[0, 5:] = False
+        mask[2, 6:] = False
+        return ids, segs, mask
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_equals_gather_of_the_full_forward(self, variant, dtype, tol, layers):
+        params = toy_params(variant, dtype=dtype, layers=layers)
+        pt, cfg = wrap_tensors(params), params.config
+        args = (pt, cfg, *self._batch(cfg))
+        full = encode_tensors(*args)
+        read = encode_tensors(*args, read=(self.ROWS, self.COLS))
+        assert read.shape == (len(self.ROWS), cfg.hidden)
+        assert read.data.dtype == dtype
+        np.testing.assert_allclose(read.data, full.data[self.ROWS, self.COLS],
+                                   rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_gradient_matches_central_differences(self, layers):
+        params = toy_params("full", layers=layers)
+        cfg = params.config
+        ids, segs, mask = self._batch(cfg)
+        weights = np.random.default_rng(3).normal(size=(len(self.ROWS), cfg.hidden))
+
+        def loss(pt):
+            states = encode_tensors(pt, cfg, ids, segs, mask, read=(self.ROWS, self.COLS))
+            return (states * autodiff.constant(weights)).sum()
+
+        err = grad_check(loss, params.tensors, samples=300, h=1e-5,
+                         rng=np.random.default_rng(5))
+        assert err < 1e-4
+
+    def test_unread_positions_get_gradient_through_keys_and_values(self):
+        """With one layer, ``pos_emb`` rows of unread positions reach the read
+        states only as the pruned layer's keys and values."""
+        params = toy_params("dual", layers=1)
+        cfg = params.config
+        ids, segs, mask = self._batch(cfg)
+        rows, cols = np.array([1, 0]), np.array([0, 2])
+        unread = [3, 5]
+        weights = np.random.default_rng(3).normal(size=(2, cfg.hidden))
+
+        def loss(pt):
+            states = encode_tensors(pt, cfg, ids, segs, mask, read=(rows, cols))
+            return (states * autodiff.constant(weights)).sum()
+
+        _, grads = value_and_grads(loss, params.tensors)
+        numeric = np.zeros((len(unread), cfg.hidden))
+        h = 1e-6
+        for i, pos in enumerate(unread):
+            for j in range(cfg.hidden):
+                values = []
+                for step in (h, -h):
+                    work = {k: v.copy() for k, v in params.tensors.items()}
+                    work["pos_emb"][pos, j] += step
+                    values.append(float(loss(
+                        {k: autodiff.constant(v) for k, v in work.items()}).data))
+                numeric[i, j] = (values[0] - values[1]) / (2 * h)
+        analytic = grads["pos_emb"][unread]
+        assert np.abs(analytic).min() > 1e-6
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-9)
+
+
 class TestEntityEmbeddings:
     def test_row_access(self):
         params = toy_params()

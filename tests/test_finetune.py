@@ -8,7 +8,8 @@ import pytest
 
 from textent.encoder import ModelConfig, encode, init_params, sentence_row
 from textent.errors import DataError, TrainingDiverged
-from textent.finetune import (PROTOCOLS, FinetuneConfig, example_weight, predict_tag_scores,
+from textent.finetune import (PROTOCOLS, FinetuneConfig, _draw_negatives, _finetune_plan,
+                              example_weight, predict_tag_scores,
                               run_finetune, sample_negatives, score_tag_matrix,
                               split_holdout, export_predictions, tag_loss)
 from textent.numerics import grad_check
@@ -184,6 +185,34 @@ class TestPlan:
         assert a.metrics == b.metrics
         for name, arr in a.params.tensors.items():
             assert arr.tobytes() == b.params.tensors[name].tobytes(), name
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planned_pools_draw_what_per_step_pools_draw(self, small_world, seed,
+                                                         protocol):
+        """Over whole epochs, the plan's pools give the negatives that
+        ``sample_negatives`` gives when it builds each pool on its step."""
+        votes = small_world.votes
+        entities = votes.entity_ids()
+        tags, allowed = votes.tags, None
+        if protocol == "open":
+            allowed = set(split_holdout(votes.tags, 0.2, np.random.default_rng(17))[0])
+            tags = [t for t in votes.tags if t in allowed]
+        cfg = FinetuneConfig(seed=seed, protocol=protocol, negative_rate=0.3)
+        plan = _finetune_plan(votes, tags, entities, allowed, cfg)
+        assert set(plan) == set(entities)
+        planned, per_step = (np.random.default_rng(np.random.SeedSequence(seed))
+                             for _ in range(2))
+        for _ in range(4):
+            order = planned.permutation(len(entities))
+            assert np.array_equal(order, per_step.permutation(len(entities)))
+            for i in order:
+                positives = [t for t, _ in votes.positives(entities[i])
+                             if allowed is None or t in allowed]
+                want = sample_negatives(entities[i], tags, positives, cfg.negative_rate,
+                                        per_step)
+                _, _, pool, count = plan[entities[i]]
+                assert _draw_negatives(pool, count, planned) == want
 
 
 class TestPredictTagScores:
