@@ -212,9 +212,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(data, parents, backward) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, parents=tuple(parents) if req else (),
-                  backward=backward if req else None)
+    for p in parents:  # a plain loop: no generator on the constant path
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, parents=tuple(parents),
+                          backward=backward)
+    return Tensor(data)
 
 
 # -- arithmetic -----------------------------------------------------------

@@ -2,16 +2,22 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from textent import evaluation
-from textent.encoder import ModelConfig, encode_rows, init_params, sentence_row
+from textent import autodiff, evaluation
+from textent.encoder import (ModelConfig, encode_rows, init_params, normalize_rows,
+                             sentence_row)
 from textent.errors import DataError, NumericError
 from textent.evaluation import (BosIndex, EvalConfig, TfidfIndex, average_precision,
                                 binarize, bos_rank, evaluate_retrieval,
@@ -268,7 +274,7 @@ class TestTfidf:
 @pytest.fixture(scope="module")
 def zero_shot_setup(small_world):
     params = {}
-    for variant in ("dual", "full"):
+    for variant in ("dual", "full", "hybrid"):
         cfg = ModelConfig.for_vocab(small_world.vocab, variant, layers=1, heads=2,
                                     hidden=16, ffn_hidden=32, entity_dim=16)
         params[variant] = init_params(cfg, seed=13)
@@ -580,6 +586,12 @@ class TestTfidfMatchesReference:
             TfidfIndex(corpus, small_world.vocab)
 
 
+@pytest.fixture
+def many_bos_workers(monkeypatch):
+    """More BoS workers than CPUs, whatever BLAS's thread count leaves free."""
+    monkeypatch.setattr(evaluation, "_bos_workers", lambda: 4)
+
+
 class TestBosZeroNorm:
     def test_zero_norm_sentence_names_the_entity(self, zero_shot_setup, small_world):
         params = zero_shot_setup["dual"].copy()
@@ -589,6 +601,20 @@ class TestBosZeroNorm:
         assert str(info.value).startswith(f"entity {min(small_world.entity_ids)!r}: ")
         assert "zero-norm sentence vector in row 0 " in str(info.value)
 
+    def test_first_failing_entity_in_sorted_order_is_named(self, zero_shot_setup,
+                                                           small_world, many_bos_workers):
+        """Both entities fail. The first in sorted order comes last in the
+        corpus and holds eight times the sentences, so its task finishes last;
+        the error still names it."""
+        params = zero_shot_setup["dual"].copy()
+        params.tensors["layer0.ffn_ln_g"][:] = 0.0
+        first, second = sorted(small_world.entity_ids)[:2]
+        corpus = ([ex for ex in small_world.corpus if ex.entity_id == second]
+                  + [ex for ex in small_world.corpus if ex.entity_id == first] * 8)
+        with pytest.raises(NumericError) as info:
+            BosIndex(params, small_world.vocab, corpus)
+        assert str(info.value).startswith(f"entity {first!r}: ")
+
     def test_zero_norm_query_is_named(self, zero_shot_setup, small_world):
         params = zero_shot_setup["dual"].copy()
         index = BosIndex(params, small_world.vocab, small_world.corpus)
@@ -597,6 +623,65 @@ class TestBosZeroNorm:
         with pytest.raises(NumericError, match=re.escape(
                 f"query {query!r} encodes to a zero-norm vector")):
             index.rank_query(query)
+
+
+def serial_bos_matrix(params, corpus):
+    """The index's matrix and spans built one entity after another."""
+    by_entity = {}
+    for ex in corpus:
+        by_entity.setdefault(ex.entity_id, []).append(ex.tokens)
+    blocks = [normalize_rows(autodiff.constant(evaluation._mean_pooled(by_entity[e], params)),
+                             "sentence").data for e in sorted(by_entity)]
+    bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
+    return np.concatenate(blocks, axis=0), list(zip(bounds[:-1], bounds[1:]))
+
+
+class TestBosParallelBuild:
+    @pytest.mark.parametrize("variant", ["dual", "hybrid"])
+    def test_matrix_and_spans_equal_a_serial_build_bit_for_bit(
+            self, zero_shot_setup, small_world, variant, many_bos_workers):
+        params = zero_shot_setup[variant]
+        matrix, spans = serial_bos_matrix(params, small_world.corpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the workers interleave as often as they can
+        try:
+            index = BosIndex(params, small_world.vocab, small_world.corpus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert index.matrix.dtype == matrix.dtype and index.matrix.shape == matrix.shape
+        assert index.matrix.tobytes() == matrix.tobytes()
+        assert index.spans == spans
+
+    def test_no_worker_thread_outlives_the_build(self, zero_shot_setup, small_world,
+                                                 many_bos_workers, monkeypatch):
+        workers = set()
+        mean_pooled = evaluation._mean_pooled
+
+        def recorded(*args):
+            workers.add(threading.current_thread())
+            return mean_pooled(*args)
+
+        monkeypatch.setattr(evaluation, "_mean_pooled", recorded)
+        before = threading.active_count()
+        BosIndex(zero_shot_setup["dual"], small_world.vocab, small_world.corpus)
+        assert threading.active_count() == before
+        assert workers and threading.main_thread() not in workers
+        assert not any(t.is_alive() for t in workers)
+
+    def test_one_worker_per_cpu_with_one_blas_thread(self):
+        """The worker count reads BLAS's thread count from the library."""
+        if not any((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                   .glob("libscipy_openblas*")):
+            pytest.skip("numpy has no bundled OpenBLAS to ask")
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        code = (f"import os, sys; sys.path.insert(0, {src!r}); "
+                "from textent import evaluation; "
+                "print(evaluation._bos_workers(), len(os.sched_getaffinity(0)))")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        workers, cpus = run.stdout.split()
+        assert workers == cpus
 
 
 class TestBosMatchesReference:

@@ -16,7 +16,10 @@ not depend on how the work is split between threads. Per variant it prints
       training entities, started from that checkpoint, then
       ``score_tag_matrix`` over the held-out entities and every tag;
   zero_shot.<variant>.rankings
-      ``zero_shot_rank`` of every query on the pretrained checkpoint.
+      ``zero_shot_rank`` of every query on the pretrained checkpoint;
+  bos.dual.matrix
+      the pretrained dual checkpoint's ``BosIndex`` matrix over the corpus
+      (dtype, shape and bytes).
 
 Checkpoints are written and read back with ``save_checkpoint`` and
 ``load_checkpoint`` between the stages.
@@ -69,7 +72,7 @@ def collect(spec, steps: int) -> dict[str, str]:
     import numpy as np
 
     from textent import encoder
-    from textent.evaluation import zero_shot_rank
+    from textent.evaluation import BosIndex, zero_shot_rank
     from textent.finetune import (FinetuneConfig, run_finetune, score_tag_matrix,
                                   split_holdout)
     from textent.objectives import TrainingConfig, pretrain
@@ -106,6 +109,10 @@ def collect(spec, steps: int) -> dict[str, str]:
             rankings = [zero_shot_rank(params, world.vocab, q.text) for q in world.queries]
             out[f"zero_shot.{variant}.rankings"] = _sha(
                 [(r.ids, r.scores) for r in rankings])
+            if variant == "dual":
+                matrix = BosIndex(params, world.vocab, world.corpus).matrix
+                out["bos.dual.matrix"] = _sha(str(matrix.dtype), matrix.shape,
+                                              matrix.tobytes())
     return out
 
 
