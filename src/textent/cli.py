@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -435,6 +437,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread while the command runs, unless the environment sets it.
+
+    The BoS index then builds on every CPU (``evaluation._bos_workers``); the
+    thread count does not change the bits. The previous count is restored.
+    """
+    before = (None if "OPENBLAS_NUM_THREADS" in os.environ
+              else evaluation._blas_threads())
+    if before is not None:
+        evaluation._set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            evaluation._set_blas_threads(before)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -453,7 +473,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if args.seed is None:
             args.seed = 0
-        return args.fn(args)
+        with _one_blas_thread():
+            return args.fn(args)
     except DataError as exc:
         sys.stderr.write(f"textent {args.command}: error: {exc}\n")
         return 2

@@ -101,12 +101,6 @@ class ModelConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def paper_scale(cls, vocab: Vocabulary, variant: str) -> "ModelConfig":
-        """The 12-layer, 12-head, 768-wide configuration. Not for CI."""
-        return cls.for_vocab(vocab, variant, layers=12, heads=12, hidden=768,
-                             ffn_hidden=3072, max_seq_len=512, entity_dim=768)
-
 
 def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     h, f, v = config.hidden, config.ffn_hidden, config.vocab_size

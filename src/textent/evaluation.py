@@ -327,18 +327,33 @@ def _bos_workers() -> int:
     return max(1, cpus // (_blas_threads() or cpus))
 
 
-def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS bundled with numpy; None without one."""
+def _openblas(name: str):
+    """The function ``name`` of the OpenBLAS bundled with numpy; None without one."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                return get()
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
     return None
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS bundled with numpy; None without one."""
+    get = _openblas("get_num_threads")
+    if get is None:
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    return get()
+
+
+def _set_blas_threads(threads: int) -> None:
+    """Set the thread count of the OpenBLAS bundled with numpy, if there is one."""
+    put = _openblas("set_num_threads")
+    if put is not None:
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        put(threads)
 
 
 def _mean_pooled(rows_tokens: Sequence[Sequence[int]], params: ModelParams) -> np.ndarray:

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -6,6 +9,9 @@ from textent import autodiff
 from textent.encoder import ModelConfig, flat_gather
 from textent.evaluation import rank_items
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
+
+# ``tools/recipe.py``, the acceptance recipe, is imported as ``recipe``.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 # Results of the acceptance criteria, printed after the run.
 CRITERIA_RESULTS: list[tuple[bool, str]] = []

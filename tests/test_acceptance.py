@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each reporting a pass/fail line.
 
-Criteria 4-6 train on a committed synthetic world (100 entities, 20
-attributes each, 50 sentences per entity, noise 0.3, seed 7) with committed
-training seeds. The values of the first run that passed their thresholds,
-for training seeds 11-13 and two BLAS kernels, are recorded in CHANGES.md
-in the entry "Tag scoring reads what pretraining learned". Everything else
-is exact or oracle-checked.
+Criteria 4-6 train the acceptance recipe of ``tools/recipe.py`` on a
+committed synthetic world (100 entities, 20 attributes each, 50 sentences
+per entity, noise 0.3, seed 7) at training seed 11: one spawned process per
+variant, each with one BLAS thread. The values of the first run that passed
+their thresholds, for training seeds 11-13 and two BLAS kernels, are
+recorded in CHANGES.md in the entry "Tag scoring reads what pretraining
+learned". Everything else is exact or oracle-checked.
 """
 
 import itertools
@@ -16,78 +17,34 @@ import warnings
 import numpy as np
 import pytest
 
+import recipe
 from conftest import record_criterion, mixed_examples, render_example
 from textent.encoder import ModelConfig, init_params
 from textent.evaluation import (EvalConfig, TfidfIndex, average_precision,
-                                evaluate_retrieval, evaluate_tag_scores, mrr,
-                                ndcg_at_k, precision_at_k, recall_at_k, roc_auc,
-                                zero_shot_rank)
-from textent.finetune import (FinetuneConfig, run_finetune, score_tag_matrix,
-                              split_holdout, tag_loss)
+                                evaluate_tag_scores, mrr, ndcg_at_k, precision_at_k,
+                                recall_at_k, roc_auc)
+from textent.finetune import FinetuneConfig, run_finetune, tag_loss
 from textent.numerics import grad_check, value_and_grads
 from textent.objectives import (TrainingConfig, build_batch, dual_graph,
                                 full_graph, hybrid_graph, mask_tokens, pretrain,
                                 pretrain_loss)
 from textent.encoder import mlm_logits
-from textent.synthetic import SyntheticWorldSpec, generate_synthetic
+from textent.synthetic import generate_synthetic
 from textent.text import CLS, MASK, PAD, SEP, tokenize
 
 # -- committed reference run -------------------------------------------------------
 
-WORLD_SEED = 7
-TRAIN_SEED = 11
-FT_SEED = 5
-PRETRAIN_STEPS = 2000
-PRETRAIN_BATCH = 96
-FULL_ENTITY_MASK_RATE = 0.8
-FT_EPOCHS = 8
-
 
 @pytest.fixture(scope="module")
 def world():
-    return generate_synthetic(SyntheticWorldSpec(seed=WORLD_SEED))
+    return generate_synthetic(recipe.world_spec(tiny=False))
 
 
 @pytest.fixture(scope="module")
-def pretrained(world):
-    """2000-step pretraining per variant on the committed world."""
-    out = {}
-    timings = {}
-    for variant in ("dual", "hybrid", "full"):
-        cfg = ModelConfig.for_vocab(world.vocab, variant)
-        train = TrainingConfig(
-            steps=PRETRAIN_STEPS, seed=TRAIN_SEED, batch_size=PRETRAIN_BATCH,
-            entity_mask_rate=FULL_ENTITY_MASK_RATE if variant == "full" else 0.5,
-            log_every=0)
-        t0 = time.time()
-        params, _ = pretrain(world.corpus, world.vocab, cfg, train)
-        timings[variant] = time.time() - t0
-        out[variant] = params
-    out["_timings"] = timings
-    return out
-
-
-@pytest.fixture(scope="module")
-def closed_split(world):
-    rng = np.random.default_rng(np.random.SeedSequence((FT_SEED, 1)))
-    return split_holdout(world.votes.entity_ids(), 0.2, rng)
-
-
-@pytest.fixture(scope="module")
-def finetuned_closed(pretrained, world, closed_split):
-    """Closed-protocol fine-tune of every variant + held-out-entity metrics."""
-    train_entities, held_entities = closed_split
-    tags = world.votes.tags
-    results = {}
-    for variant in ("dual", "hybrid", "full"):
-        cfg = FinetuneConfig(epochs=FT_EPOCHS, seed=FT_SEED)
-        tuned = run_finetune(pretrained[variant], world.votes, cfg, world.vocab,
-                             train_entities)
-        scores = score_tag_matrix(tuned.params, world.vocab, held_entities, tags)
-        rows = evaluate_tag_scores(scores, world.votes, EvalConfig(precision_ks=(1,)),
-                                   held_entities, tags)
-        results[variant] = {r["metric"]: r["value"] for r in rows}
-    return results
+def jobs():
+    """The recipe's seed-11 job per variant, each in its own spawned process."""
+    results = recipe.run_jobs((v, recipe.TRAIN_SEED) for v in recipe.VARIANTS)
+    return {variant: job for (variant, _), job in results.items()}
 
 
 # -- criterion 1: gradient integrity ------------------------------------------------
@@ -295,17 +252,11 @@ def test_criterion_3_loss_identities(small_world, tiny_configs):
 # -- criterion 4: zero-shot retrieval -------------------------------------------------
 
 
-def test_criterion_4_zero_shot_retrieval(world, pretrained):
-    t0 = time.time()
+def test_criterion_4_zero_shot_retrieval(world, jobs):
     base = sum(1.0 / r for r in range(1, world.spec.entities + 1)) / world.spec.entities
-    values = {}
-    for variant in ("dual", "hybrid"):
-        ranked = [zero_shot_rank(pretrained[variant], world.vocab, q.text)
-                  for q in world.queries]
-        rows = evaluate_retrieval(ranked, world.queries, EvalConfig())
-        values[variant] = next(r["value"] for r in rows if r["metric"] == "mrr")
-    elapsed = time.time() - t0 + sum(pretrained["_timings"][v]
-                                     for v in ("dual", "hybrid"))
+    values = {variant: jobs[variant]["mrr"] for variant in ("dual", "hybrid")}
+    elapsed = sum(jobs[v]["seconds"]["pretrain"] + jobs[v]["seconds"]["zero_shot"]
+                  for v in ("dual", "hybrid"))
     ok = (values["dual"] >= 10 * base and values["hybrid"] >= 10 * base
           and values["hybrid"] >= values["dual"] - 0.02 and elapsed < 900)
     record_criterion(ok, f"criterion 4: zero-shot MRR dual {values['dual']:.3f}, "
@@ -320,8 +271,8 @@ def test_criterion_4_zero_shot_retrieval(world, pretrained):
 # -- criterion 5: supervised tag prediction -------------------------------------------
 
 
-def test_criterion_5_supervised_tag_prediction(world, closed_split, finetuned_closed):
-    _, held_entities = closed_split
+def test_criterion_5_supervised_tag_prediction(world, jobs):
+    (_, held_entities), _ = recipe.splits(world)
     tags = world.votes.tags
     index = TfidfIndex(world.corpus, world.vocab)
     tfidf_scores = {e: index.tag_scores(e, tags) for e in held_entities}
@@ -332,37 +283,29 @@ def test_criterion_5_supervised_tag_prediction(world, closed_split, finetuned_cl
     ok = True
     parts = [f"tfidf MAP {tfidf_map:.3f}"]
     for variant in ("dual", "hybrid", "full"):
-        auc = finetuned_closed[variant]["auc"]
-        vmap = finetuned_closed[variant]["map"]
+        auc = jobs[variant]["closed"]["auc"]
+        vmap = jobs[variant]["closed"]["map"]
         ok = ok and auc >= 0.9 and vmap > tfidf_map
         parts.append(f"{variant} AUC {auc:.3f} MAP {vmap:.3f}")
     summary = ", ".join(parts)
     record_criterion(ok, "criterion 5: supervised tags (" + summary
                      + "; AUC >= 0.9 and MAP > tfidf)")
     for variant in ("dual", "hybrid", "full"):
-        assert finetuned_closed[variant]["auc"] >= 0.9, f"{variant} AUC: {summary}"
-        assert finetuned_closed[variant]["map"] > tfidf_map, f"{variant} MAP: {summary}"
+        assert jobs[variant]["closed"]["auc"] >= 0.9, f"{variant} AUC: {summary}"
+        assert jobs[variant]["closed"]["map"] > tfidf_map, f"{variant} MAP: {summary}"
 
 
 # -- criterion 6: open-vocabulary protocol --------------------------------------------
 
 
-def test_criterion_6_open_vocabulary(world, pretrained, finetuned_closed):
-    rng = np.random.default_rng(np.random.SeedSequence((FT_SEED, 2)))
-    train_tags, held_tags = split_holdout(world.votes.tags, 0.2, rng)
-    entities = world.votes.entity_ids()
+def test_criterion_6_open_vocabulary(world, jobs):
+    _, (_, held_tags) = recipe.splits(world)
     ok = True
     parts = []
     for variant in ("dual", "hybrid"):
-        cfg = FinetuneConfig(epochs=FT_EPOCHS, seed=FT_SEED, protocol="open")
-        tuned = run_finetune(pretrained[variant], world.votes, cfg, world.vocab,
-                             allowed_tags=set(train_tags))
-        assert not tuned.used_tags & set(held_tags)
-        scores = score_tag_matrix(tuned.params, world.vocab, entities, held_tags)
-        rows = evaluate_tag_scores(scores, world.votes, EvalConfig(precision_ks=(1,)),
-                                   entities, held_tags)
-        open_auc = next(r["value"] for r in rows if r["metric"] == "auc")
-        closed_auc = finetuned_closed[variant]["auc"]
+        assert not set(jobs[variant]["open_tags"]) & set(held_tags)
+        open_auc = jobs[variant]["open"]["auc"]
+        closed_auc = jobs[variant]["closed"]["auc"]
         ok = ok and open_auc >= closed_auc - 0.1
         parts.append(f"{variant} open {open_auc:.3f} vs closed {closed_auc:.3f}")
     record_criterion(ok, "criterion 6: open vocabulary (" + ", ".join(parts)

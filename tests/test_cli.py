@@ -377,6 +377,43 @@ class TestEvaluateInputs:
             assert dumped == ranked.ids[:3]
 
 
+class TestBlasThreads:
+    """``main`` runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set."""
+
+    def _bos(self, workdir, dump):
+        data = workdir / "data"
+        assert main(["evaluate", "--task", "retrieval", "--baseline", "bos",
+                     "--checkpoint", str(workdir / "ckpt"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries.jsonl"),
+                     "--dump-dir", str(dump), "--top-k-dump", "5"]) == 0
+
+    def test_thread_count_restored(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = evaluation._blas_threads()
+        _generate(tmp_path)
+        assert evaluation._blas_threads() == before
+        assert main(["evaluate", "--task", "tags"]) == 2  # a data error restores it too
+        assert evaluation._blas_threads() == before
+
+    def test_bos_output_same_pinned_or_not(self, workdir, tmp_path, capsys, monkeypatch):
+        seen = []  # BLAS's thread count when the BoS pool is sized
+        workers = evaluation._bos_workers
+        monkeypatch.setattr(evaluation, "_bos_workers",
+                            lambda: seen.append(evaluation._blas_threads()) or workers())
+        before = evaluation._blas_threads()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        self._bos(workdir, tmp_path / "unset")
+        unset = capsys.readouterr().out
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        self._bos(workdir, tmp_path / "set")
+        assert capsys.readouterr().out == unset
+        assert ((tmp_path / "unset" / "rankings.tsv").read_bytes()
+                == (tmp_path / "set" / "rankings.tsv").read_bytes())
+        if before is not None:
+            assert seen == [1, before]
+
+
 class TestConfigFile:
     def test_config_supplies_values_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"

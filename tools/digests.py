@@ -9,8 +9,9 @@ not depend on how the work is split between threads. Per variant it prints
 
   pretrain.<variant>.params / .losses
       the parameters and the per-step (loss, loss_entity, loss_mlm) trace
-      after ``--steps`` pretrain steps (batch 96, training seed 11, full
-      entity mask rate 0.8), as the acceptance fixture trains;
+      after ``--steps`` pretrain steps of the acceptance recipe
+      (``tools/recipe.py``: batch 96, training seed 11, full entity mask
+      rate 0.8);
   finetune.<variant>.params / .loss / .scores
       one ``FinetuneConfig(epochs=1, seed=5)`` epoch on the closed split's
       training entities, started from that checkpoint, then
@@ -28,72 +29,34 @@ Checkpoints are written and read back with ``save_checkpoint`` and
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-VARIANTS = ("dual", "hybrid", "full")
-WORLD_SEED = 7
-BATCH_SIZE = 96
-TRAIN_SEED = 11
-FT_SEED = 5
-FULL_ENTITY_MASK_RATE = 0.8
-HOLDOUT_FRACTION = 0.2
-TINY_WORLD = dict(entities=12, attribute_vocab=40, attributes_per_entity=5,
-                  sentences_per_entity=10, words_per_sentence=7, noise_ratio=0.2,
-                  clusters=2)
-
-
-def _sha(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part if isinstance(part, bytes) else repr(part).encode())
-    return h.hexdigest()
-
-
-def _params_sha(params) -> str:
-    return _sha(*(item for name in sorted(params.tensors)
-                  for item in (name, params.tensors[name].tobytes())))
-
-
-def world_spec(tiny: bool):
-    """The seed-7 acceptance world, or a 12-entity one."""
-    from textent.synthetic import SyntheticWorldSpec
-
-    return SyntheticWorldSpec(**(TINY_WORLD if tiny else {}), seed=WORLD_SEED)
+from recipe import (BLAS_ENV, FT_SEED, SRC, TRAIN_SEED, VARIANTS, params_sha, sha, splits,
+                    training_config, world_spec)
 
 
 def collect(spec, steps: int) -> dict[str, str]:
     """Every digest, keyed ``stage.variant.what``, for one world and step count."""
-    import numpy as np
-
     from textent import encoder
     from textent.evaluation import BosIndex, zero_shot_rank
-    from textent.finetune import (FinetuneConfig, run_finetune, score_tag_matrix,
-                                  split_holdout)
-    from textent.objectives import TrainingConfig, pretrain
+    from textent.finetune import FinetuneConfig, run_finetune, score_tag_matrix
+    from textent.objectives import pretrain
     from textent.synthetic import generate_synthetic
 
     world = generate_synthetic(spec)
-    rng = np.random.default_rng(np.random.SeedSequence((FT_SEED, 1)))
-    train_entities, held_entities = split_holdout(world.votes.entity_ids(),
-                                                  HOLDOUT_FRACTION, rng)
+    (train_entities, held_entities), _ = splits(world)
     tags = world.votes.tags
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for variant in VARIANTS:
-            cfg = encoder.ModelConfig.for_vocab(world.vocab, variant)
-            train = TrainingConfig(
-                steps=steps, seed=TRAIN_SEED, batch_size=BATCH_SIZE,
-                entity_mask_rate=FULL_ENTITY_MASK_RATE if variant == "full" else 0.5,
-                log_every=0)
-            params, metrics = pretrain(world.corpus, world.vocab, cfg, train)
-            out[f"pretrain.{variant}.params"] = _params_sha(params)
-            out[f"pretrain.{variant}.losses"] = _sha(
+            params, metrics = pretrain(world.corpus, world.vocab,
+                                       encoder.ModelConfig.for_vocab(world.vocab, variant),
+                                       training_config(variant, TRAIN_SEED, steps))
+            out[f"pretrain.{variant}.params"] = params_sha(params)
+            out[f"pretrain.{variant}.losses"] = sha(
                 [(m["loss"], m["loss_entity"], m["loss_mlm"]) for m in metrics])
             encoder.save_checkpoint(params, Path(tmp) / variant)
             params = encoder.load_checkpoint(Path(tmp) / variant)
@@ -101,18 +64,18 @@ def collect(spec, steps: int) -> dict[str, str]:
             tuned = run_finetune(params, world.votes, FinetuneConfig(epochs=1, seed=FT_SEED),
                                  world.vocab, train_entities)
             scores = score_tag_matrix(tuned.params, world.vocab, held_entities, tags)
-            out[f"finetune.{variant}.params"] = _params_sha(tuned.params)
-            out[f"finetune.{variant}.loss"] = _sha([m["loss"] for m in tuned.metrics])
-            out[f"finetune.{variant}.scores"] = _sha(
+            out[f"finetune.{variant}.params"] = params_sha(tuned.params)
+            out[f"finetune.{variant}.loss"] = sha([m["loss"] for m in tuned.metrics])
+            out[f"finetune.{variant}.scores"] = sha(
                 [(e, t, scores[e][t]) for e in held_entities for t in tags])
 
             rankings = [zero_shot_rank(params, world.vocab, q.text) for q in world.queries]
-            out[f"zero_shot.{variant}.rankings"] = _sha(
+            out[f"zero_shot.{variant}.rankings"] = sha(
                 [(r.ids, r.scores) for r in rankings])
             if variant == "dual":
                 matrix = BosIndex(params, world.vocab, world.corpus).matrix
-                out["bos.dual.matrix"] = _sha(str(matrix.dtype), matrix.shape,
-                                              matrix.tobytes())
+                out["bos.dual.matrix"] = sha(str(matrix.dtype), matrix.shape,
+                                             matrix.tobytes())
     return out
 
 
@@ -122,8 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tiny", action="store_true",
                         help="a 12-entity world instead of the acceptance world")
     args = parser.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # read when numpy loads, which happens below
+    os.environ.update(dict.fromkeys(BLAS_ENV, "1"))  # read when numpy loads, below
     sys.path.insert(0, str(SRC))
     for name, digest in collect(world_spec(args.tiny), args.steps).items():
         print(f"{name}  {digest}")

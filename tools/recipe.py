@@ -1,0 +1,180 @@
+"""The acceptance recipe: the world, the training runs and one job per (variant, seed).
+
+``tests/test_acceptance.py`` (criteria 4-6), ``tools/digests.py`` and
+``tools/quality.py`` train this recipe and nothing else: the seed-7
+synthetic world, 2000 pretrain steps at batch 96 (full entity mask rate 0.8,
+0.5 for the others), training seed 11, and 8 fine-tuning epochs at seed 5.
+The closed protocol fine-tunes on 80 of the 100 entities (split seed
+``(5, 1)``); the open protocol, for dual and hybrid, on 80% of the tags
+(split seed ``(5, 2)``).
+
+``run_job`` pretrains one variant at one training seed and reads what
+criteria 4-6 need. ``run_jobs`` runs jobs in spawned processes, one job per
+process and one BLAS thread each; a job computes there what it computes
+in-process, because the BLAS thread count does not change the bits of a
+training run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from multiprocessing import get_context
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+VARIANTS = ("dual", "hybrid", "full")
+RETRIEVAL = ("dual", "hybrid")     # the variants criteria 4 and 6 read
+WORLD_SEED = 7
+BATCH_SIZE = 96
+TRAIN_SEED = 11
+STEPS = 2000
+FT_SEED = 5
+FT_EPOCHS = 8
+FULL_ENTITY_MASK_RATE = 0.8
+HOLDOUT_FRACTION = 0.2
+TINY_STEPS = 3
+TINY_EPOCHS = 1
+TINY_WORLD = dict(entities=12, attribute_vocab=40, attributes_per_entity=5,
+                  sentences_per_entity=10, words_per_sentence=7, noise_ratio=0.2,
+                  clusters=2)
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def params_sha(params) -> str:
+    return sha(*(item for name in sorted(params.tensors)
+                 for item in (name, params.tensors[name].tobytes())))
+
+
+def world_spec(tiny: bool):
+    """The seed-7 acceptance world, or a 12-entity one."""
+    from textent.synthetic import SyntheticWorldSpec
+
+    return SyntheticWorldSpec(**(TINY_WORLD if tiny else {}), seed=WORLD_SEED)
+
+
+def splits(world):
+    """The closed (entity) and open (tag) splits, each as (train, held out)."""
+    import numpy as np
+
+    from textent.finetune import split_holdout
+
+    entities = split_holdout(world.votes.entity_ids(), HOLDOUT_FRACTION,
+                             np.random.default_rng(np.random.SeedSequence((FT_SEED, 1))))
+    tags = split_holdout(world.votes.tags, HOLDOUT_FRACTION,
+                         np.random.default_rng(np.random.SeedSequence((FT_SEED, 2))))
+    return entities, tags
+
+
+def training_config(variant: str, seed: int, steps: int):
+    """The pretraining run of one variant at one training seed."""
+    from textent.objectives import TrainingConfig
+
+    return TrainingConfig(
+        steps=steps, seed=seed, batch_size=BATCH_SIZE,
+        entity_mask_rate=FULL_ENTITY_MASK_RATE if variant == "full" else 0.5,
+        log_every=0)
+
+
+def _tag_metrics(params, world, entities, tags) -> dict[str, float]:
+    from textent.evaluation import EvalConfig, evaluate_tag_scores
+    from textent.finetune import score_tag_matrix
+
+    scores = score_tag_matrix(params, world.vocab, entities, tags)
+    rows = evaluate_tag_scores(scores, world.votes, EvalConfig(precision_ks=(1,)),
+                               entities, tags)
+    return {r["metric"]: r["value"] for r in rows if r["metric"] in ("auc", "map")}
+
+
+def run_job(variant: str, seed: int, tiny: bool = False) -> dict:
+    """Pretrain one variant at one training seed and read what criteria 4-6 need.
+
+    Returns the parameters' SHA-256, the closed protocol's held-out AUC and
+    MAP and, for dual and hybrid, the zero-shot MRR, the open protocol's
+    held-out-tag AUC and MAP and the tags the open run trained on;
+    ``seconds`` holds the wall time of pretraining and of the zero-shot pass.
+    """
+    from textent.encoder import ModelConfig
+    from textent.evaluation import EvalConfig, evaluate_retrieval, zero_shot_rank
+    from textent.finetune import FinetuneConfig, run_finetune
+    from textent.objectives import pretrain
+    from textent.synthetic import generate_synthetic
+
+    world = generate_synthetic(world_spec(tiny))
+    (train_entities, held_entities), (train_tags, held_tags) = splits(world)
+    epochs = TINY_EPOCHS if tiny else FT_EPOCHS
+    t0 = time.perf_counter()
+    params, _ = pretrain(world.corpus, world.vocab,
+                         ModelConfig.for_vocab(world.vocab, variant),
+                         training_config(variant, seed, TINY_STEPS if tiny else STEPS))
+    out = {"params_sha": params_sha(params),
+           "seconds": {"pretrain": time.perf_counter() - t0}}
+    tuned = run_finetune(params, world.votes, FinetuneConfig(epochs=epochs, seed=FT_SEED),
+                         world.vocab, train_entities)
+    out["closed"] = _tag_metrics(tuned.params, world, held_entities, world.votes.tags)
+    if variant in RETRIEVAL:
+        t0 = time.perf_counter()
+        ranked = [zero_shot_rank(params, world.vocab, q.text) for q in world.queries]
+        rows = evaluate_retrieval(ranked, world.queries, EvalConfig())
+        out["seconds"]["zero_shot"] = time.perf_counter() - t0
+        out["mrr"] = next(r["value"] for r in rows if r["metric"] == "mrr")
+        tuned = run_finetune(params, world.votes,
+                             FinetuneConfig(epochs=epochs, seed=FT_SEED, protocol="open"),
+                             world.vocab, allowed_tags=set(train_tags))
+        out["open"] = _tag_metrics(tuned.params, world, world.votes.entity_ids(),
+                                   held_tags)
+        out["open_tags"] = sorted(tuned.used_tags)
+    return out
+
+
+@contextmanager
+def _one_blas_thread():
+    """One BLAS thread in every process spawned inside the block.
+
+    A spawned process reads the variables when it loads numpy; the parent's
+    values are restored on exit.
+    """
+    before = {var: os.environ.get(var) for var in BLAS_ENV}
+    os.environ.update(dict.fromkeys(BLAS_ENV, "1"))
+    try:
+        yield
+    finally:
+        for var, value in before.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def run_jobs(jobs, tiny: bool = False) -> dict[tuple[str, int], dict]:
+    """``run_job`` for every (variant, seed) in ``jobs``, keyed by that pair.
+
+    Every job runs in its own spawned process with one BLAS thread, all at
+    once: on 2 CPUs the three seed-11 jobs took 103-108 s on three processes
+    and 146 s on two. No process outlives the call. A job that fails raises
+    ``RuntimeError`` naming its variant and seed once the other jobs end.
+    """
+    jobs = list(jobs)
+    results = {}
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=len(jobs), mp_context=get_context("spawn"),
+            max_tasks_per_child=1) as pool:
+        futures = {(v, s): pool.submit(run_job, v, s, tiny) for v, s in jobs}
+        for (variant, seed), future in futures.items():
+            try:
+                results[variant, seed] = future.result()
+            except Exception as exc:
+                raise RuntimeError(f"job {variant} at training seed {seed} failed: "
+                                   f"{exc!r}") from exc
+    return results
