@@ -333,7 +333,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     probs *= scale
     if bias is not None:
         probs += bias
-    probs -= probs.max(axis=-1, keepdims=True)
+    # the row max over a key-major copy: numpy reduces a short last axis
+    # slowly, and a max is exact, so the bits are numpy's
+    probs -= np.ascontiguousarray(probs.transpose(3, 0, 1, 2)).max(axis=0)[..., None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out_data = (probs @ v4).transpose(0, 2, 1, 3).reshape(B, L, H)
@@ -388,14 +390,38 @@ def _is_basic_index(key) -> bool:
     return all(isinstance(k, (slice, int, np.integer)) or k is Ellipsis for k in parts)
 
 
+def _one_row(key, table: np.ndarray) -> int | None:
+    """The row of ``table`` that an integer-array ``key`` names at every
+    position, when rows are wider than one element (numpy sums a column of
+    one-element rows pairwise, not in order); else None."""
+    if (isinstance(key, np.ndarray) and key.dtype.kind in "iu" and key.size
+            and table.size > table.shape[0]):
+        first = key.flat[0]
+        if (key == first).all():
+            return int(first)
+    return None
+
+
 def take(a: Tensor, key) -> Tensor:
     """Indexing/gather; backward scatter-adds into ``a``'s gradient through
-    the same key."""
+    the same key.
+
+    A key that names one row at every position (dual's and hybrid's
+    segment ids, one entity's row repeated) scatters into an unset
+    gradient as one sum over the gathered rows: numpy sums the rows of a
+    C-contiguous ``[n, width > 1]`` array in order, from the first, as
+    ``np.add.at`` adds them into zeros, so the bits are equal.
+    """
     out_data = a.data[key]
 
     def backward(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
+            row = _one_row(key, a.data)
+            if row is not None:
+                rows = np.ascontiguousarray(g).reshape(key.size, -1)
+                a.grad[row] += rows.sum(axis=0).reshape(a.data.shape[1:])
+                return
         if _is_basic_index(key):
             a.grad[key] += g
         else:

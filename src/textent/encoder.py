@@ -9,17 +9,20 @@ share it:
           by cosine similarity
   full    entity tokens live inside an extended input vocabulary and
           cross-attend with sentence tokens; masked-token prediction uses
-          a projection tied to the input embedding matrix
-  hybrid  dual's separate table, plus a second masked-token head whose
+          the tied head, a projection tied to the input embedding matrix,
+          which is full's alone
+  hybrid  dual's separate table, plus its own masked-token head whose
           input is the hidden state concatenated with the entity embedding
           (its projection is untied: the input width differs)
 
-Checkpoints are a JSON manifest (format version 2) next to one raw
+Checkpoints are a JSON manifest (format version 3) next to one raw
 little-endian float file per named tensor; loading validates the manifest
-and every shape against the config, and still reads version 1. Saving is
-crash-safe: the tensors go into a fresh subdirectory and the new manifest
-replaces the old one in one rename, so a failed save leaves the previous
-checkpoint loadable.
+and every shape against the config. It still reads versions 1 and 2,
+dropping the tensors they carry that nothing reads (``_RETIRED``): version
+1 full checkpoints' classifier head, and the tied head that hybrid
+checkpoints carried before version 3. Saving is crash-safe: the tensors go
+into a fresh subdirectory and the new manifest replaces the old one in one
+rename, so a failed save leaves the previous checkpoint loadable.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[pre + "ffn_ln_b"] = (h,)
     if config.variant in ("dual", "hybrid"):
         shapes["entity_table"] = (config.entity_count, config.entity_dim)
-    if config.variant in ("full", "hybrid"):
+    if config.variant == "full":
         # transform (dense + GELU + norm), then a projection tied to token_emb
         shapes["mlm_dense_w"] = (h, h)
         shapes["mlm_dense_b"] = (h,)
@@ -134,7 +137,7 @@ def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["mlm_ln_b"] = (h,)
         shapes["mlm_out_b"] = (v,)
     if config.variant == "hybrid":
-        # same structure over the concatenated input; projection is untied
+        # the tied head's structure over the concatenated input, untied
         shapes["hyb_dense_w"] = (h + config.entity_dim, h)
         shapes["hyb_dense_b"] = (h,)
         shapes["hyb_ln_g"] = (h,)
@@ -328,8 +331,8 @@ def entity_matrix(params: ModelParams) -> np.ndarray:
     return params.tensors["entity_table"]
 
 
-# The tensors the tied head reads: ``mlm_logits`` wraps only these.
-_MLM_HEAD = ("mlm_dense_w", "mlm_dense_b", "mlm_ln_g", "mlm_ln_b", "token_emb", "mlm_out_b")
+# The tied head's own tensors; it also reads token_emb.
+_TIED_HEAD = ("mlm_dense_w", "mlm_dense_b", "mlm_ln_g", "mlm_ln_b", "mlm_out_b")
 
 
 def mlm_head_tensors(pt: Mapping[str, Tensor], h: Tensor,
@@ -379,7 +382,7 @@ def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
     """Masked-token logits over the vocabulary, one row per position.
 
     A dense + GELU + layer-norm transform feeds a projection tied to the
-    input embedding matrix, plus a learned bias.
+    input embedding matrix, plus a learned bias. Only full has this head.
     """
     if "mlm_out_b" not in params.tensors:
         raise DataError(f"variant {params.config.variant!r} has no tied MLM head")
@@ -390,7 +393,7 @@ def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
             raise DataError(f"masked position {p} outside sequence of length {L}")
     if not positions:
         return np.zeros((0, params.config.vocab_size), dtype=hidden_states.dtype)
-    pt = {k: autodiff.constant(params.tensors[k]) for k in _MLM_HEAD}
+    pt = {k: autodiff.constant(params.tensors[k]) for k in _TIED_HEAD + ("token_emb",)}
     return mlm_head_tensors(pt, autodiff.constant(hidden_states[positions])).data
 
 
@@ -399,10 +402,12 @@ def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
 
 _MANIFEST = "manifest.json"
 _FORMAT = "textent-checkpoint"
-_VERSION = 2
+_VERSION = 3
 _DTYPES = ("<f4", "<f8")
-# Version 1 full checkpoints also carry a classifier head that nothing reads.
-_V1_ONLY = ("cls_w", "cls_b")
+# Tensors that a variant's checkpoints carry before a format version and
+# nothing reads: version 1 full's classifier head, and the tied head that
+# hybrid held until version 3. Loading drops them from older checkpoints.
+_RETIRED = {"full": (2, ("cls_w", "cls_b")), "hybrid": (3, _TIED_HEAD)}
 # The two tensor subdirectories a save alternates between: it writes the one
 # the current manifest does not use.
 _TENSOR_DIRS = ("tensors", "tensors.1")
@@ -467,7 +472,7 @@ def _read_manifest(directory: Path) -> dict:
     if manifest["format"] != _FORMAT:
         raise DataError(f"{path}: format {manifest['format']!r} is not {_FORMAT!r}")
     version = manifest["version"]
-    if type(version) is not int or version not in (1, _VERSION):
+    if type(version) is not int or not 1 <= version <= _VERSION:
         raise DataError(f"{path}: unsupported version {version!r}")
     if manifest["dtype"] not in _DTYPES:
         raise DataError(f"{path}: dtype {manifest['dtype']!r} is not one of {_DTYPES}")
@@ -496,15 +501,16 @@ def _read_manifest(directory: Path) -> dict:
 
 
 def load_checkpoint(directory: str | Path) -> ModelParams:
-    """Load a version 1 or 2 checkpoint; version 1's classifier head is dropped."""
+    """Load a checkpoint of any version; older ones lose their ``_RETIRED`` tensors."""
     directory = Path(directory)
     manifest = _read_manifest(directory)
     config = ModelConfig(**manifest["config"])
     config.validate()
     code = manifest["dtype"]
     shapes = expected_shapes(config)
+    retired_from, retired = _RETIRED.get(config.variant, (1, ()))
     entries = {name: meta for name, meta in manifest["tensors"].items()
-               if manifest["version"] > 1 or name not in _V1_ONLY}
+               if manifest["version"] >= retired_from or name not in retired}
     if set(entries) != set(shapes):
         missing = sorted(set(shapes) - set(entries))
         extra = sorted(set(entries) - set(shapes))

@@ -6,7 +6,7 @@ import pytest
 from textent import autodiff
 from textent.numerics import grad_check
 
-from conftest import softmax
+from conftest import composed_attention, softmax
 
 
 def _check(loss_fn, params, samples=40, h=1e-6, seed=0):
@@ -154,6 +154,21 @@ def test_attention_probabilities_and_padding():
     assert not ctx.requires_grad
 
 
+
+@pytest.mark.parametrize("B, L", [(96, 14), (50, 12), (12, 6), (1, 22)],
+                         ids=["pretrain", "bos-block", "finetune", "one-row"])
+def test_attention_equals_the_softmax_over_numpys_row_max(B, L):
+    """The fused node takes its row max its own way; the bits are those of the
+    composed chain, whose softmax subtracts ``max(axis=-1)``."""
+    H, heads = 64, 4
+    rng = np.random.default_rng(B * L)
+    q, k, v = (autodiff.constant(rng.normal(size=(B, L, H)).astype(np.float32))
+               for _ in range(3))
+    bias = _pad_bias(B, L, np.float32)
+    ctx, _ = autodiff.attention(q, k, v, heads, bias)
+    want = composed_attention(q, k, v, heads, bias)
+    assert ctx.data.tobytes() == want.data.tobytes()
+
 def test_div_sqrt_exp_log_grads():
     params = {"a": np.abs(_rand((5,), 4)) + 0.5, "b": np.abs(_rand((5,), 5)) + 0.5}
 
@@ -207,6 +222,32 @@ def test_getitem_gather_and_slice_grads():
 
     _check(fn, params)
 
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("table_shape, key", [
+    ((2, 64), np.zeros((96, 13), dtype=np.int64)),     # dual's segment ids
+    ((9, 16), np.full(40, 3)),                         # one entity's row, repeated
+    ((9, 16), np.full(40, -2)),
+    ((9, 2, 3), np.full((5, 4), 7)),
+    ((9,), np.full(300, 4)),                           # one-element rows
+    ((9, 1), np.full(300, 4)),
+    ((9, 16), np.array([3, 3, 5, 3])),
+], ids=["segments", "entity", "negative", "3d", "vector", "column", "mixed"])
+@pytest.mark.parametrize("preset", [False, True], ids=["unset", "set"])
+def test_gather_backward_equals_add_at(dtype, table_shape, key, preset):
+    rng = np.random.default_rng(8)
+    table = autodiff.parameter(rng.normal(size=table_shape).astype(dtype))
+    g = (rng.normal(size=key.shape + table_shape[1:])
+         * rng.lognormal(0.0, 3.0, size=key.shape + (1,) * (len(table_shape) - 1))
+         ).astype(dtype)
+    want = np.zeros(table_shape, dtype)
+    if preset:
+        want = rng.normal(size=table_shape).astype(dtype)
+        table.grad = want.copy()
+    np.add.at(want, key, g)
+    table[key].backward(g)
+    assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
 
 def test_table_gathered_twice_and_transposed_grads():
     params = {"table": _rand((7, 4), 17)}

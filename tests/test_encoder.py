@@ -13,12 +13,17 @@ from textent.encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode, 
                              load_checkpoint, mlm_logits, save_checkpoint,
                              wrap_tensors)
 from textent.errors import DataError
+from textent.finetune import tag_loss
 from textent.numerics import grad_check, value_and_grads
 from textent.objectives import TrainingConfig, build_batch, pretrain_loss
+from textent.text import tokenize
 
 from conftest import (encode_tensors_composed, hybrid_head_composed,
                       hybrid_mlm_logits_ref, mixed_examples, mlm_head_composed,
                       mlm_logits_ref, softmax)
+
+# The tied masked-word head's own tensors: full's alone.
+TIED_HEAD = ("mlm_dense_w", "mlm_dense_b", "mlm_ln_g", "mlm_ln_b", "mlm_out_b")
 
 TOY = dict(layers=2, heads=2, hidden=16, ffn_hidden=32, max_seq_len=16,
            vocab_size=40, entity_count=4, entity_dim=16)
@@ -257,10 +262,11 @@ class TestMlmHeads:
         with pytest.raises(DataError):
             mlm_logits(out.hidden_states, [3], params)
 
-    def test_dual_variant_has_no_tied_head(self):
-        params = toy_params("dual")
+    @pytest.mark.parametrize("variant", ["dual", "hybrid"])
+    def test_only_full_has_the_tied_head(self, variant):
+        params = toy_params(variant)
         out = encode([1, 5, 2], [0] * 3, params)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=f"variant '{variant}' has no tied MLM head"):
             mlm_logits(out.hidden_states, [1], params)
 
 
@@ -272,23 +278,21 @@ class TestHybridHead:
                                                        cfg.hidden)
         assert params.tensors["hyb_out_w"].shape == (cfg.hidden, cfg.vocab_size)
 
-    def test_zeroed_entity_half_matches_plain_head(self):
-        params = toy_params("hybrid")
+    def test_zeroed_entity_half_is_a_plain_head_over_the_hidden_state(self):
+        params, _ = TestHeadsAgainstNumpyReference._randomized("hybrid")
         cfg = params.config
         t = params.tensors
-        # share remaining weights with the tied head, zero the entity half
-        t["hyb_dense_w"][: cfg.hidden] = t["mlm_dense_w"]
         t["hyb_dense_w"][cfg.hidden:] = 0.0
-        t["hyb_dense_b"][:] = t["mlm_dense_b"]
-        t["hyb_ln_g"][:] = t["mlm_ln_g"]
-        t["hyb_ln_b"][:] = t["mlm_ln_b"]
-        t["hyb_out_w"][:] = t["token_emb"].T
-        t["hyb_out_b"][:] = t["mlm_out_b"]
         out = encode([1, 5, 6, 7, 2], [0] * 5, params)
-        plain = mlm_logits(out.hidden_states, [1, 3], params)
-        hybrid = hybrid_logits(out.hidden_states[[1, 3]], np.zeros(cfg.entity_dim),
-                               params)
-        np.testing.assert_allclose(hybrid, plain, atol=1e-12)
+        hybrid = hybrid_logits(out.hidden_states[[1, 3]],
+                               params.tensors["entity_table"][2], params)
+        # the numpy head of dense, GELU, layer norm and projection, on the
+        # hidden half of hybrid's weights alone
+        plain = mlm_logits_ref(out.hidden_states[[1, 3]], {
+            "mlm_dense_w": t["hyb_dense_w"][: cfg.hidden], "mlm_dense_b": t["hyb_dense_b"],
+            "mlm_ln_g": t["hyb_ln_g"], "mlm_ln_b": t["hyb_ln_b"],
+            "token_emb": t["hyb_out_w"].T, "mlm_out_b": t["hyb_out_b"]})
+        np.testing.assert_allclose(hybrid, plain, rtol=1e-12)
 
     def test_entity_vector_gradient_matches_finite_difference(self):
         params = toy_params("hybrid")
@@ -360,9 +364,43 @@ class TestConfig:
         full = set(expected_shapes(ModelConfig(**TOY, variant="full")))
         hybrid = set(expected_shapes(ModelConfig(**TOY, variant="hybrid")))
         assert "entity_table" in dual and "entity_table" not in full
-        assert {"mlm_dense_w", "mlm_out_b"} <= full
+        assert set(TIED_HEAD) <= full
         assert not {"cls_w", "cls_b"} & (dual | full | hybrid)
-        assert {"hyb_dense_w", "hyb_out_w", "mlm_out_b", "entity_table"} <= hybrid
+        # hybrid holds dual's tensors and its own head, and no tied head
+        assert hybrid - dual == {"hyb_dense_w", "hyb_dense_b", "hyb_ln_g", "hyb_ln_b",
+                                 "hyb_out_w", "hyb_out_b"}
+        assert dual <= hybrid
+
+
+class TestEveryTensorIsLive:
+    """Every tensor ``expected_shapes`` gives a variant is read: one step of
+    its pretraining loss, and one of its fine-tuning loss, gives each a
+    gradient that is not all zero."""
+
+    @staticmethod
+    def _assert_live(grads, cfg):
+        dead = [name for name in expected_shapes(cfg) if not np.any(grads[name])]
+        assert dead == [], f"{cfg.variant} tensors with an all-zero gradient"
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    def test_pretrain_loss(self, small_world, tiny_configs, variant):
+        cfg = tiny_configs[variant]
+        batch = build_batch(mixed_examples(small_world, 8), small_world.vocab, cfg,
+                            rng=np.random.default_rng(4), word_mask_rate=0.3,
+                            entity_mask_rate=0.6)
+        assert sum(map(len, batch.mask_positions)) > 0
+        assert variant != "full" or batch.entity_masked.any()
+        out = pretrain_loss(batch, init_params(cfg, seed=7), TrainingConfig())
+        self._assert_live(out.grads, cfg)
+
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    def test_tag_loss(self, small_world, tiny_configs, variant):
+        cfg = tiny_configs[variant]
+        tokens = [tokenize(t, small_world.vocab) for t in small_world.votes.tags[:6]]
+        _, grads = value_and_grads(
+            lambda pt: tag_loss(pt, cfg, tokens, 1, 2, np.array([1.0, 0.5]), 4.0),
+            init_params(cfg, seed=7).tensors)
+        self._assert_live(grads, cfg)
 
 
 class TestCheckpoints:
@@ -409,9 +447,9 @@ class TestCheckpoints:
         assert set(loaded.tensors) == set(params.tensors)
         for name, arr in params.tensors.items():
             assert loaded.tensors[name].tobytes() == arr.tobytes(), name
-        save_checkpoint(loaded, tmp_path / "v2")
-        manifest = json.loads((tmp_path / "v2" / "manifest.json").read_text())
-        assert manifest["version"] == 2 and "cls_w" not in manifest["tensors"]
+        save_checkpoint(loaded, tmp_path / "v3")
+        manifest = json.loads((tmp_path / "v3" / "manifest.json").read_text())
+        assert manifest["version"] == 3 and "cls_w" not in manifest["tensors"]
 
     def test_version_2_manifest_with_classifier_head_rejected(self, v1_full_checkpoint):
         directory, _ = v1_full_checkpoint
@@ -419,6 +457,23 @@ class TestCheckpoints:
         manifest["version"] = 2
         (directory / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataError, match=r"unexpected \['cls_b', 'cls_w'\]"):
+            load_checkpoint(directory)
+
+    def test_version_2_hybrid_checkpoint_loads_without_tied_head(self, tmp_path):
+        params = toy_params("hybrid", dtype=np.float32)
+        tied = {name: np.full(shape, 0.5, dtype=np.float32) for name, shape in
+                expected_shapes(ModelConfig(**TOY, variant="full")).items()
+                if name in TIED_HEAD}
+        directory = _write_checkpoint(tmp_path / "v2", params, 2, tied)
+        _assert_bit_identical(load_checkpoint(directory), params)
+
+    @pytest.mark.parametrize("name", TIED_HEAD)
+    def test_version_3_hybrid_checkpoint_with_tied_head_rejected(self, tmp_path, name):
+        params = toy_params("hybrid", dtype=np.float32)
+        extra = {name: np.zeros(expected_shapes(ModelConfig(**TOY, variant="full"))[name],
+                                dtype=np.float32)}
+        directory = _write_checkpoint(tmp_path / "v3", params, 3, extra)
+        with pytest.raises(DataError, match=rf"unexpected \['{name}'\]"):
             load_checkpoint(directory)
 
     @pytest.mark.parametrize("k", [0, 7, -1])
@@ -459,25 +514,29 @@ def _assert_bit_identical(loaded, params):
         assert loaded.tensors[name].tobytes() == arr.tobytes(), name
 
 
+def _write_checkpoint(directory, params, version, extra):
+    """A float32 checkpoint as format ``version`` wrote it, holding ``params``'
+    tensors and the ``extra`` ones; returns its directory."""
+    (directory / "tensors").mkdir(parents=True)
+    manifest = {"format": "textent-checkpoint", "version": version,
+                "config": asdict(params.config), "dtype": "<f4", "tensors": {}}
+    for name, arr in sorted({**params.tensors, **extra}.items()):
+        fname = f"tensors/{name}.bin"
+        arr.astype("<f4").tofile(directory / fname)
+        manifest["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return directory
+
+
 @pytest.fixture
 def v1_full_checkpoint(tmp_path):
     """A full checkpoint as format version 1 wrote it, classifier head included;
     returns its directory and the parameters it holds besides that head."""
     params = toy_params("full", dtype=np.float32)
     hidden = params.config.hidden
-    tensors = {**params.tensors,
-               "cls_w": np.full((hidden, 1), 0.25, dtype=np.float32),
-               "cls_b": np.zeros(1, dtype=np.float32)}
-    directory = tmp_path / "v1"
-    (directory / "tensors").mkdir(parents=True)
-    manifest = {"format": "textent-checkpoint", "version": 1,
-                "config": asdict(params.config), "dtype": "<f4", "tensors": {}}
-    for name, arr in sorted(tensors.items()):
-        fname = f"tensors/{name}.bin"
-        arr.astype("<f4").tofile(directory / fname)
-        manifest["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return directory, params
+    head = {"cls_w": np.full((hidden, 1), 0.25, dtype=np.float32),
+            "cls_b": np.zeros(1, dtype=np.float32)}
+    return _write_checkpoint(tmp_path / "v1", params, 1, head), params
 
 
 class TestFusedNodesMatchComposedChain:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -157,19 +158,32 @@ def _one_blas_thread():
                 os.environ[var] = value
 
 
+def _exit_with(caller: int) -> None:
+    """Run in each worker: end it once ``caller`` is no longer its parent."""
+
+    def watch():
+        while os.getppid() == caller:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_jobs(jobs, tiny: bool = False) -> dict[tuple[str, int], dict]:
     """``run_job`` for every (variant, seed) in ``jobs``, keyed by that pair.
 
     Every job runs in its own spawned process with one BLAS thread, all at
     once: on 2 CPUs the three seed-11 jobs took 103-108 s on three processes
-    and 146 s on two. No process outlives the call. A job that fails raises
-    ``RuntimeError`` naming its variant and seed once the other jobs end.
+    and 146 s on two. No process outlives the call, nor the calling process
+    if that is killed. A job that fails raises ``RuntimeError`` naming its
+    variant and seed once the other jobs end.
     """
     jobs = list(jobs)
     results = {}
     with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=len(jobs), mp_context=get_context("spawn"),
-            max_tasks_per_child=1) as pool:
+            max_tasks_per_child=1, initializer=_exit_with,
+            initargs=(os.getpid(),)) as pool:
         futures = {(v, s): pool.submit(run_job, v, s, tiny) for v, s in jobs}
         for (variant, seed), future in futures.items():
             try:
