@@ -31,12 +31,12 @@ allocated and gives to no other node (``_accum(..., owned=True)``); GEMM
 results, elementwise products and any reduction that summed qualify. The
 array must also be C-contiguous with the node's dtype and shape, the layout
 a copy would have: a gradient in another layout would change the rounding
-of the GEMMs that read it. Everything else is copied on arrival: the ``g`` that ``add``/``sub`` pass
-to both parents unchanged, the broadcast views of ``reduce_sum`` and
-``reduce_mean``, and the views of ``g`` that ``reshape``, ``transpose`` and
-``concat`` pass on. Later gradients are added in place, and an embedding
-gather scatter-adds straight into its table's gradient. No two nodes
-therefore ever share a gradient array.
+of the GEMMs that read it. Everything else is copied on arrival: the ``g``
+that ``add`` passes to both parents unchanged, the broadcast views of
+``reduce_sum`` and ``reduce_mean``, and the views of ``g`` that
+``reshape``, ``transpose`` and ``concat`` pass on. Later gradients are added
+in place, and an embedding gather scatter-adds straight into its table's
+gradient. No two nodes therefore ever share a gradient array.
 
 Everything here is dtype-preserving: float32 graphs stay float32, float64
 graphs stay float64. Constants folded into a graph are cast to the dtype of
@@ -78,9 +78,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -94,20 +91,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, self._const(other))
 
-    def __radd__(self, other):
-        return add(self._const(other), self)
-
-    def __sub__(self, other):
-        return sub(self, self._const(other))
-
-    def __rsub__(self, other):
-        return sub(self._const(other), self)
-
     def __mul__(self, other):
         return mul(self, self._const(other))
-
-    def __rmul__(self, other):
-        return mul(self._const(other), self)
 
     def __truediv__(self, other):
         return div(self, self._const(other))
@@ -228,17 +213,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         _accum_sum(a, g)
         _accum_sum(b, g)
-
-    return _node(out_data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accum_sum(a, g)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -480,24 +454,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 # -- nonlinearities ----------------------------------------------------------
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data, owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def backward(g):
-        _accum(a, g / a.data, owned=True)
-
-    return _node(out_data, (a,), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:

@@ -28,6 +28,9 @@ from .errors import DataError
 
 log = logging.getLogger("textent")
 
+# The baselines ``evaluate`` runs for each task.
+BASELINES = {"retrieval": ("tfidf", "bos"), "tags": ("tfidf", "toptags")}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -222,8 +225,7 @@ def cmd_finetune(args) -> int:
     text.write_jsonl(out / "metrics.jsonl", result.metrics)
     eval_entities = held_entities if cfg.protocol == "closed" else entities
     eval_tags = votes.tags if cfg.protocol == "closed" else held_tags
-    scores = ft.score_tag_matrix(result.params, vocab, eval_entities, eval_tags,
-                                 cfg.score_scale)
+    scores = ft.score_tag_matrix(result.params, vocab, eval_entities, eval_tags)
     ft.export_predictions(out / "predictions.tsv", scores)
     log.info("finetuned (%s protocol); wrote %s", cfg.protocol, out)
     return 0
@@ -232,8 +234,11 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     base = evaluation.EvalConfig()
     _defaults(args, threshold=base.threshold, bos_aggregation=base.bos_aggregation,
-              score_scale=ft.FinetuneConfig().score_scale, top_k_dump=20)
+              top_k_dump=20)
     _at_least_one(args, "top_k_dump")
+    if args.baseline is not None and args.baseline not in BASELINES[args.task]:
+        raise DataError(f"--task {args.task} takes --baseline "
+                        f"{' or '.join(BASELINES[args.task])}, not {args.baseline!r}")
     eval_cfg = evaluation.EvalConfig(threshold=args.threshold,
                                      bos_aggregation=args.bos_aggregation)
     rows: list[dict]
@@ -255,14 +260,13 @@ def cmd_evaluate(args) -> int:
         else:
             _require(args, "checkpoint")
             params, vocab = _load_model(args)
-            ranked = [evaluation.zero_shot_rank(params, vocab, q.text, args.score_scale)
-                      for q in queries]
+            ranked = [evaluation.zero_shot_rank(params, vocab, q.text) for q in queries]
         rows = evaluation.evaluate_retrieval(ranked, queries, eval_cfg)
         if args.dump_dir:
             Path(args.dump_dir).mkdir(parents=True, exist_ok=True)
             evaluation.dump_rankings(Path(args.dump_dir) / "rankings.tsv",
                                      queries, ranked, args.top_k_dump)
-    elif args.task == "tags":
+    else:  # tags
         _require(args, "votes")
         votes = text.read_votes(args.votes)
         split_path = args.split
@@ -293,10 +297,8 @@ def cmd_evaluate(args) -> int:
         else:
             _require(args, "checkpoint")
             params, vocab = _load_model(args)
-            scores = ft.score_tag_matrix(params, vocab, entities, tags, args.score_scale)
+            scores = ft.score_tag_matrix(params, vocab, entities, tags)
         rows = evaluation.evaluate_tag_scores(scores, votes, eval_cfg, entities, tags)
-    else:
-        raise DataError(f"unknown task {args.task!r}")
     if args.out:
         evaluation.write_report(args.out, rows)
     else:
@@ -306,10 +308,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    _defaults(args, k=10, score_scale=ft.FinetuneConfig().score_scale)
+    _defaults(args, k=10)
     _at_least_one(args, "k")
     params, vocab = _load_model(args)
-    ranked = evaluation.zero_shot_rank(params, vocab, args.query, args.score_scale)
+    ranked = evaluation.zero_shot_rank(params, vocab, args.query)
     sys.stdout.write("rank\tentity_id\tscore\n")
     for rank, (entity_id, score) in enumerate(
             zip(ranked.ids[: args.k], ranked.scores[: args.k]), start=1):
@@ -412,7 +414,6 @@ def build_parser() -> _Parser:
     p.add_argument("--baseline", choices=("tfidf", "bos", "toptags"), default=None)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--bos-aggregation", choices=("max", "mean"), default=None)
-    p.add_argument("--score-scale", type=float, default=None)
     p.add_argument("--out", default=None, help="report JSONL path (default stdout)")
     p.add_argument("--dump-dir", default=None)
     p.add_argument("--top-k-dump", type=int, default=None)
@@ -423,7 +424,6 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", default=None)
     p.add_argument("--query")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--score-scale", type=float, default=None)
 
     p = sub.add_parser("export", help="write entity embeddings as TSV")
     _add_common(p, cmd_export, "checkpoint", "out")

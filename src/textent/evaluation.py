@@ -34,7 +34,7 @@ from . import autodiff
 from .encoder import (ModelParams, encode_rows, mlm_logits,  # noqa: F401
                       normalize_rows, sentence_row, wrap_tensors)
 from .errors import DataError, NumericError
-from .finetune import EncodedTags
+from .finetune import READ_SCALE, EncodedTags
 from .text import CorpusExample, Query, TagVotes, Vocabulary, tokenize
 
 
@@ -160,17 +160,9 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     if n_pos == 0 or n_neg == 0:
         warnings.warn("roc_auc undefined for single-class labels")
         return float("nan")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
-    rank_sum = float(ranks[labels == 1].sum())
+    # Imported here: scipy.stats is slow to import, and only AUC reads it.
+    from scipy.stats import rankdata
+    rank_sum = float(rankdata(scores)[labels == 1].sum())  # average ranks, 1-based
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -205,23 +197,21 @@ def recall_at_k(ranked_ids: Sequence[str], relevant: set[str], k: int) -> float:
 # -- zero-shot entity ranking -----------------------------------------------------
 
 
-def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str,
-                   score_scale: float = 4.0) -> RankedList:
+def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str) -> RankedList:
     """Rank every entity for a query with a pre-trained (not fine-tuned) model.
 
-    The query is read as a tag before fine-tuning: dual and hybrid score the
-    scaled cosine of its CLS encoding with each entity embedding, full the
-    log p(entity | [CLS] [MASK] [SEP] query [SEP]). A zero-norm query or
-    entity row is a ``NumericError`` naming the query and the row.
+    The query is read as a tag before fine-tuning: dual and hybrid score
+    ``READ_SCALE`` times the cosine of its CLS encoding with each entity
+    embedding, full the log p(entity | [CLS] [MASK] [SEP] query [SEP]). A
+    zero-norm query or entity row is a ``NumericError`` naming the query and
+    the row.
     """
-    if not score_scale > 0:
-        raise DataError(f"score_scale must be > 0, got {score_scale}")
     cfg = params.config
     tokens = _query_tokens(query, vocab)
     readout = "posterior" if cfg.variant == "full" else "cosine"
     try:
         encoded = EncodedTags.build(wrap_tensors(params), cfg, [tokens], readout)
-        scores = encoded.logits(np.arange(cfg.entity_count), score_scale).data[0]
+        scores = encoded.logits(np.arange(cfg.entity_count), READ_SCALE).data[0]
     except NumericError as exc:
         raise NumericError(f"query {query!r}: {exc}") from exc
     return rank_items(vocab.entity_ids, scores.tolist())

@@ -52,6 +52,10 @@ log = logging.getLogger(__name__)
 
 WEIGHT_MODES = ("linear", "log1p")
 PROTOCOLS = ("closed", "open")
+# The cosine multiplier of every score read after training (tag scoring,
+# zero-shot ranking). Metrics read only ranks; a power of two rescales the
+# cosines exactly, so it creates no ties.
+READ_SCALE = 4.0
 
 
 @dataclass
@@ -365,34 +369,33 @@ def _encode_tags(params: ModelParams, vocab: Vocabulary,
 
 
 def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
-                       tags: Sequence[str], score_scale: float = 4.0, *,
+                       tags: Sequence[str], *,
                        encoded: EncodedTags | None = None) -> np.ndarray:
     """Score every tag for one entity; higher means more relevant.
 
     Full: the posterior p(entity | [CLS] [MASK] [SEP] tag [SEP]) over the
     entity block, in (0, 1). Hybrid: the geometric mean of the tag's token
     probabilities under the masked-word head at [CLS] [MASK]*n [SEP],
-    conditioned on the entity embedding, in (0, 1). Dual: scaled cosine
-    between the entity embedding and the encoded tag. Scores are comparable
-    across tags for one entity; evaluation consumes ranks.
+    conditioned on the entity embedding, in (0, 1). Dual: ``READ_SCALE``
+    times the cosine between the entity embedding and the encoded tag.
+    Scores are comparable across tags for one entity; evaluation consumes
+    ranks.
 
     ``score_tag_matrix`` passes ``encoded``, the tags encoded once, for
     every entity.
     """
-    if not score_scale > 0:
-        raise DataError(f"score_scale must be > 0, got {score_scale}")
     index = vocab.entity_index(entity_id)  # raises for unknown entities
     if encoded is None:
         encoded = _encode_tags(params, vocab, tags)
-    scores = encoded.logits([index], score_scale).data[:, 0]
+    scores = encoded.logits([index], READ_SCALE).data[:, 0]
     if encoded.readout == "cosine":
         return scores
     return np.exp(scores.astype(np.float64))
 
 
 def score_tag_matrix(params: ModelParams, vocab: Vocabulary,
-                     entities: Sequence[str], tags: Sequence[str],
-                     score_scale: float = 4.0) -> dict[str, dict[str, float]]:
+                     entities: Sequence[str], tags: Sequence[str]
+                     ) -> dict[str, dict[str, float]]:
     """predict_tag_scores for many entities, keyed entity -> tag -> score.
 
     The tags are encoded once for all entities.
@@ -400,8 +403,7 @@ def score_tag_matrix(params: ModelParams, vocab: Vocabulary,
     encoded = _encode_tags(params, vocab, tags)
     out: dict[str, dict[str, float]] = {}
     for entity_id in entities:
-        scores = predict_tag_scores(params, vocab, entity_id, tags, score_scale,
-                                    encoded=encoded)
+        scores = predict_tag_scores(params, vocab, entity_id, tags, encoded=encoded)
         out[entity_id] = {t: float(s) for t, s in zip(tags, scores)}
     return out
 

@@ -39,7 +39,7 @@ from .autodiff import Tensor
 from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, cosine_head_tensors,
                       encode_tensors, entity_row, hybrid_head_tensors,
                       init_params, mlm_head_tensors, normalize_rows, pad_rows,
-                      save_checkpoint, sentence_row, wrap_tensors)
+                      save_checkpoint, sentence_row)
 from .errors import DataError, NumericError, TrainingDiverged
 from .numerics import AdamState, adam_step, value_and_grads
 from .text import CLS, MASK, PAD, SEP, CorpusExample, Vocabulary
@@ -192,9 +192,7 @@ def _dual_term(pt: dict[str, Tensor], cls: Tensor, batch: MaskedBatch,
     candidates, targets = _unique_candidates(batch.entity_rows)
     scores = cosine_head_tensors(pt, normalize_rows(cls, "sentence"),
                                  candidates, score_scale)
-    logp = autodiff.log_softmax(scores, axis=-1)
-    picked = logp[np.arange(batch.size), targets]
-    return -picked.mean()
+    return _masked_ce(scores, targets)
 
 
 def _masked_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -313,29 +311,6 @@ def pretrain_loss(batch: MaskedBatch, params: ModelParams,
 
     value, grads = value_and_grads(loss_fn, params.tensors)
     return LossOutput(value, terms["entity"], terms["mlm"], grads)
-
-
-def entity_prediction_accuracy(batch: MaskedBatch, params: ModelParams,
-                               restrict_to_entities: bool = True) -> float:
-    """Fraction of masked entity tokens recovered by the tied MLM head.
-
-    With ``restrict_to_entities`` the argmax runs over the entity block
-    only; otherwise over the whole extended vocabulary.
-    """
-    cfg = params.config
-    rows = np.flatnonzero(batch.entity_masked)
-    if len(rows) == 0:
-        return float("nan")
-    pt = wrap_tensors(params)
-    h = encode_tensors(pt, cfg, batch.input_ids, batch.segment_ids, batch.pad_mask,
-                       read=(rows, np.full(len(rows), ENTITY_POSITION, dtype=np.int64)))
-    logits = mlm_head_tensors(pt, h).data
-    truth = np.asarray([cfg.entity_token_id(int(e)) for e in batch.entity_rows[rows]])
-    if restrict_to_entities:
-        pred = logits[:, cfg.word_vocab_size:].argmax(axis=1) + cfg.word_vocab_size
-    else:
-        pred = logits.argmax(axis=1)
-    return float(np.mean(pred == truth))
 
 
 # -- pretraining loop ----------------------------------------------------------------

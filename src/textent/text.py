@@ -108,11 +108,6 @@ class Vocabulary:
     def entity_index(self, entity_id: str) -> int:
         return self.entity_token(entity_id) - self.word_size
 
-    def entity_id_of(self, index: int) -> str:
-        if not 0 <= index < len(self.entity_ids):
-            raise DataError(f"entity index {index} out of range")
-        return self.entity_ids[index]
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for tid, (token, kind) in enumerate(zip(self.id_to_token, self.kinds)):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -70,6 +72,54 @@ def overlap_oracle_rank(attributes, query_words):
     words = set(query_words)
     ids = sorted(attributes)
     return rank_items(ids, [float(len(words & set(attributes[e]))) for e in ids])
+
+
+# -- independent brute-force metric oracles ----------------------------------------
+#
+# Written from the metric definitions, not from ``textent.evaluation``; the
+# metric tests and acceptance criterion 2 compare the library against them.
+
+
+def oracle_precision(labels, k):
+    top = labels[:k]
+    return sum(top) / len(top) if top else 0.0
+
+
+def oracle_dcg(rels, k):
+    return sum(r / math.log2(i + 2) for i, r in enumerate(rels[:k]))
+
+
+def oracle_ndcg(rels, k):
+    best = oracle_dcg(sorted(rels, reverse=True), k)
+    return oracle_dcg(rels, k) / best if best > 0 else 0.0
+
+
+def oracle_ap(labels):
+    hits, acc = 0, 0.0
+    for rank, l in enumerate(labels, start=1):
+        if l:
+            hits += 1
+            acc += sum(labels[:rank]) / rank
+    return acc / hits if hits else 0.0
+
+
+def oracle_auc(scores, labels):
+    pairs = wins = 0
+    for i, j in itertools.product(range(len(scores)), repeat=2):
+        if labels[i] == 1 and labels[j] == 0:
+            pairs += 1
+            if scores[i] > scores[j]:
+                wins += 1
+            elif scores[i] == scores[j]:
+                wins += 0.5
+    return wins / pairs if pairs else float("nan")
+
+
+def oracle_rr(ranked, relevant):
+    for rank, item in enumerate(ranked, start=1):
+        if item in relevant:
+            return 1.0 / rank
+    return 0.0
 
 
 # -- numpy references for the heads ------------------------------------------------

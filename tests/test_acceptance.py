@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import recipe
-from conftest import record_criterion, mixed_examples, render_example
+from conftest import (mixed_examples, oracle_ap, oracle_auc, oracle_ndcg,
+                      oracle_precision, oracle_rr, record_criterion, render_example)
 from textent.encoder import ModelConfig, init_params
 from textent.evaluation import (EvalConfig, TfidfIndex, average_precision,
                                 evaluate_tag_scores, mrr, ndcg_at_k, precision_at_k,
@@ -109,46 +110,6 @@ def test_criterion_1_gradient_integrity(small_world):
 
 
 # -- criterion 2: metric oracle equivalence ------------------------------------------
-
-
-def oracle_precision(labels, k):
-    top = labels[:k]
-    return sum(top) / len(top) if top else 0.0
-
-
-def oracle_dcg(rels, k):
-    return sum(r / math.log2(i + 2) for i, r in enumerate(rels[:k]))
-
-
-def oracle_ndcg(rels, k):
-    best = oracle_dcg(sorted(rels, reverse=True), k)
-    return oracle_dcg(rels, k) / best if best > 0 else 0.0
-
-
-def oracle_ap(labels):
-    hits, acc = 0, 0.0
-    for rank, l in enumerate(labels, start=1):
-        if l:
-            hits += 1
-            acc += sum(labels[:rank]) / rank
-    return acc / hits if hits else 0.0
-
-
-def oracle_auc(scores, labels):
-    pairs = wins = 0.0
-    for i in range(len(scores)):
-        for j in range(len(scores)):
-            if labels[i] == 1 and labels[j] == 0:
-                pairs += 1
-                wins += 1.0 if scores[i] > scores[j] else (0.5 if scores[i] == scores[j] else 0.0)
-    return wins / pairs if pairs else float("nan")
-
-
-def oracle_rr(ranked, relevant):
-    for rank, item in enumerate(ranked, start=1):
-        if item in relevant:
-            return 1.0 / rank
-    return 0.0
 
 
 def test_criterion_2_metric_oracle_equivalence():

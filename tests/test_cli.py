@@ -119,17 +119,11 @@ class TestExitCodes:
         assert problem in err and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
-        ["retrieve", "--checkpoint", "{root}/ckpt", "--query", "x", "--score-scale", "-4"],
-        ["evaluate", "--task", "retrieval", "--checkpoint", "{root}/ckpt",
-         "--queries", "{data}/queries.jsonl", "--score-scale", "0"],
-        ["evaluate", "--task", "tags", "--checkpoint", "{root}/ckpt",
-         "--votes", "{data}/votes.jsonl", "--score-scale", "0"],
         ["finetune", "--checkpoint", "{root}/ckpt", "--votes", "{data}/votes.jsonl",
          "--seed", "1", "--out-dir", "{tmp}/ft", "--score-scale", "0"],
         ["finetune", "--checkpoint", "{root}/ckpt", "--votes", "{data}/votes.jsonl",
          "--seed", "1", "--out-dir", "{tmp}/ft", "--score-scale", "-4"],
-    ], ids=["retrieve", "evaluate-retrieval", "evaluate-tags", "finetune-zero",
-            "finetune-negative"])
+    ], ids=["finetune-zero", "finetune-negative"])
     def test_non_positive_score_scale_is_data_error(self, workdir, tmp_path, capsys,
                                                     args):
         args = [a.format(root=workdir, data=workdir / "data", tmp=tmp_path) for a in args]
@@ -137,6 +131,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "score_scale must be > 0" in err and "Traceback" not in err
         assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["retrieve", "--checkpoint", "{root}/ckpt", "--query", "x"],
+        ["evaluate", "--task", "retrieval", "--checkpoint", "{root}/ckpt",
+         "--queries", "{data}/queries.jsonl"],
+        ["evaluate", "--task", "tags", "--checkpoint", "{root}/ckpt",
+         "--votes", "{data}/votes.jsonl"],
+    ], ids=["retrieve", "evaluate-retrieval", "evaluate-tags"])
+    def test_read_commands_take_no_score_scale(self, workdir, tmp_path, capsys, args):
+        """Scores read after training use one fixed scale: the flag is a usage
+        error, and a config file that sets it names the key."""
+        args = [a.format(root=workdir, data=workdir / "data") for a in args]
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--score-scale", "4"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --score-scale 4" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("score_scale = 4\n")
+        assert main(args + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown config keys: ['score_scale']" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("task, baseline, flags, accepted", [
+        ("retrieval", "toptags", ["--queries", "{data}/queries.jsonl"], "tfidf or bos"),
+        ("tags", "bos", ["--votes", "{data}/votes.jsonl"], "tfidf or toptags"),
+    ], ids=["retrieval-toptags", "tags-bos"])
+    def test_baseline_that_does_not_serve_the_task_is_data_error(
+            self, workdir, capsys, task, baseline, flags, accepted):
+        flags = [f.format(data=workdir / "data") for f in flags]
+        assert main(["evaluate", "--task", task, "--baseline", baseline,
+                     "--checkpoint", str(workdir / "ckpt"),
+                     "--corpus", str(workdir / "data" / "corpus.jsonl")] + flags) == 2
+        captured = capsys.readouterr()
+        assert (f"--task {task} takes --baseline {accepted}, not {baseline!r}"
+                in captured.err)
+        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("task, flag, row, problem", [
         ("tags", "--votes", {"entity_id": "e0000", "tag": "t", "votes": "many"},
@@ -560,31 +591,23 @@ class TestConfigDefaults:
 
     def test_evaluate_and_retrieve_use_config_defaults(self, workdir, monkeypatch,
                                                        capsys):
-        seen = {}
+        seen = []
+        real = evaluation.evaluate_tag_scores
 
-        def spy(module, name, arg):
-            """Record positional argument ``arg`` of each call to ``name``."""
-            real = getattr(module, name)
+        def spy(scores, votes, config, *a, **kw):
+            seen.append(config)
+            return real(scores, votes, config, *a, **kw)
 
-            def wrapped(*a, **kw):
-                seen[name] = a[arg]
-                return real(*a, **kw)
-
-            monkeypatch.setattr(module, name, wrapped)
-
-        spy(evaluation, "evaluate_tag_scores", 2)
-        spy(finetune, "score_tag_matrix", 4)
-        spy(evaluation, "zero_shot_rank", 3)
+        monkeypatch.setattr(evaluation, "evaluate_tag_scores", spy)
         data = workdir / "data"
         assert main(["evaluate", "--task", "tags", "--checkpoint", str(workdir / "ckpt"),
                      "--votes", str(data / "votes.jsonl")]) == 0
         query = read_queries(data / "queries.jsonl")[0]
+        capsys.readouterr()
         assert main(["retrieve", "--checkpoint", str(workdir / "ckpt"),
                      "--query", query.text]) == 0
-        capsys.readouterr()
-        assert asdict(seen["evaluate_tag_scores"]) == asdict(evaluation.EvalConfig())
-        scale = finetune.FinetuneConfig().score_scale
-        assert seen["score_tag_matrix"] == seen["zero_shot_rank"] == scale
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 10  # header, k = 10
+        assert [asdict(c) for c in seen] == [asdict(evaluation.EvalConfig())]
 
 
 class TestRetrieve:

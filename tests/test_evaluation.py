@@ -28,50 +28,8 @@ from textent.evaluation import (BosIndex, EvalConfig, TfidfIndex, average_precis
 from textent.finetune import predict_tag_scores
 from textent.text import CorpusExample, Query, TagVotes, build_vocab, tokenize
 
-from conftest import overlap_oracle_rank
-
-
-# -- independent brute-force oracles ---------------------------------------------
-
-
-def oracle_precision(labels, k):
-    return sum(labels[:k]) / k if len(labels) >= k else sum(labels) / max(len(labels), 1)
-
-
-def oracle_dcg(rels, k):
-    return sum(r / math.log2(i + 2) for i, r in enumerate(rels[:k]))
-
-
-def oracle_ndcg(rels, k):
-    best = oracle_dcg(sorted(rels, reverse=True), k)
-    return oracle_dcg(rels, k) / best if best > 0 else 0.0
-
-
-def oracle_ap(labels):
-    precisions = []
-    for rank in range(1, len(labels) + 1):
-        if labels[rank - 1]:
-            precisions.append(sum(labels[:rank]) / rank)
-    return sum(precisions) / len(precisions) if precisions else 0.0
-
-
-def oracle_auc(scores, labels):
-    pairs = wins = 0
-    for i, j in itertools.product(range(len(scores)), repeat=2):
-        if labels[i] == 1 and labels[j] == 0:
-            pairs += 1
-            if scores[i] > scores[j]:
-                wins += 1
-            elif scores[i] == scores[j]:
-                wins += 0.5
-    return wins / pairs if pairs else float("nan")
-
-
-def oracle_rr(ranked, relevant):
-    for rank, item in enumerate(ranked, start=1):
-        if item in relevant:
-            return 1.0 / rank
-    return 0.0
+from conftest import (oracle_ap, oracle_auc, oracle_ndcg, oracle_precision,
+                      overlap_oracle_rank)
 
 
 class TestBinarize:
@@ -317,7 +275,7 @@ class TestZeroShot:
         params, vocab = self._dual64(zero_shot_setup), small_world.vocab
         query = small_world.queries[0].text
         params.tensors["entity_table"][0] = sign * self._query_cls(params, vocab, query)
-        ranked = zero_shot_rank(params, vocab, query, score_scale=4.0)
+        ranked = zero_shot_rank(params, vocab, query)
         score = dict(zip(ranked.ids, ranked.scores))[vocab.entity_ids[0]]
         assert abs(score - sign * 4.0) < 1e-12
 

@@ -289,10 +289,10 @@ class TestScoreTagMatrix:
     def test_matches_per_entity_scores_bit_for_bit(self, variant, trained, small_world):
         params, vocab = trained[variant], small_world.vocab
         tags = small_world.votes.tags + ["unseen phrase", ""]
-        matrix = score_tag_matrix(params, vocab, vocab.entity_ids, tags, 3.0)
+        matrix = score_tag_matrix(params, vocab, vocab.entity_ids, tags)
         assert list(matrix) == vocab.entity_ids
         for entity_id in vocab.entity_ids:
-            alone = predict_tag_scores(params, vocab, entity_id, tags, 3.0)
+            alone = predict_tag_scores(params, vocab, entity_id, tags)
             assert [matrix[entity_id][t] for t in tags] == alone.tolist(), entity_id
 
 

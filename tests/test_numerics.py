@@ -302,8 +302,7 @@ class TestGradCheck:
         params = {"w": np.array([1.0])}
 
         def fn(pt):
-            return autodiff.log(pt["w"] - 2.0).sum()  # log of a negative
+            return (pt["w"] * np.inf).sum()
 
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericError):
-                grad_check(fn, params, samples=4, h=1e-6)
+        with pytest.raises(NumericError):
+            grad_check(fn, params, samples=4, h=1e-6)

@@ -13,8 +13,7 @@ from textent.encoder import (ENTITY_POSITION, ModelConfig, encode, entity_row,
 from textent.errors import DataError, TrainingDiverged
 from textent.numerics import value_and_grads
 from textent.objectives import (MaskedBatch, TrainingConfig, build_batch, dual_graph,
-                                entity_prediction_accuracy, mask_tokens, pretrain,
-                                pretrain_loss)
+                                mask_tokens, pretrain, pretrain_loss)
 from textent.text import CLS, MASK, PAD, SEP, CorpusExample
 
 
@@ -363,13 +362,3 @@ class TestGraphLookup:
         assert calls == {v: int(v == variant) for v in calls}
         pretrain(small_world.corpus, small_world.vocab, cfg, train)
         assert calls == {v: (1 + train.steps) * (v == variant) for v in calls}
-
-
-class TestEntityAccuracy:
-    def test_restricted_argmax_over_entity_block(self, small_world, tiny_configs, rng):
-        cfg = tiny_configs["full"]
-        params = init_params(cfg, seed=0)
-        batch = build_batch(mixed_examples(small_world, 6), small_world.vocab, cfg,
-                            rng=rng, entity_mask_rate=1.0)
-        acc = entity_prediction_accuracy(batch, params, restrict_to_entities=True)
-        assert 0.0 <= acc <= 1.0

@@ -114,7 +114,7 @@ class TestEntityExtension:
     def test_round_trip_bijection(self, vocab):
         out = extend_with_entities(vocab, ["x", "y", "z"])
         for e in ("x", "y", "z"):
-            assert out.entity_id_of(out.entity_index(e)) == e
+            assert out.entity_ids[out.entity_index(e)] == e
 
     def test_word_ids_unchanged(self, vocab):
         out = extend_with_entities(vocab, ["m1"])
