@@ -500,12 +500,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+LAYER_NORM_EPS = 1e-12  # variance floor: constant inputs map to zero, not NaN
 
-    The variance denominator is floored by ``eps`` so constant inputs map to
-    zero instead of NaN.
-    """
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     x = a.data
     n = x.shape[-1]
     # sum / n is the mean numpy computes, without its Python-level wrapper;
@@ -515,7 +514,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     xhat = x - mu
     var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= n
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=var.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(LAYER_NORM_EPS, dtype=var.dtype))
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data

@@ -178,8 +178,6 @@ def cmd_preprocess(args) -> int:
 def _model_config_from_args(args, vocab: text.Vocabulary) -> ModelConfig:
     flags = _set_fields(ModelConfig, args)
     del flags["variant"]
-    if "hidden" in flags:  # every variant pairs entity rows with hidden states
-        flags.setdefault("entity_dim", flags["hidden"])
     return ModelConfig.for_vocab(vocab, args.variant, **flags)
 
 
@@ -386,8 +384,7 @@ def build_parser() -> _Parser:
                       ("--loss-mix", float), ("--score-scale", float),
                       ("--layers", int), ("--heads", int), ("--hidden", int),
                       ("--ffn-hidden", int), ("--max-seq-len", int),
-                      ("--entity-dim", int), ("--checkpoint-every", int),
-                      ("--log-every", int)):
+                      ("--checkpoint-every", int), ("--log-every", int)):
         p.add_argument(flag, type=typ, default=None)
 
     p = sub.add_parser("finetune", help="tag-prediction fine-tuning")
@@ -398,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir")
     p.add_argument("--protocol", choices=("closed", "open"), default=None)
     for flag, typ in (("--epochs", int), ("--lr", float), ("--negative-rate", float),
-                      ("--holdout-fraction", float), ("--score-scale", float)):
+                      ("--holdout-fraction", float)):
         p.add_argument(flag, type=typ, default=None)
     p.add_argument("--weight-mode", choices=("linear", "log1p"), default=None)
 
@@ -459,7 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported with the subcommand's usage, when there is one
+        getattr(args, "_parser", parser).error(f"unrecognized arguments: {' '.join(unknown)}")
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1

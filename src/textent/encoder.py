@@ -71,15 +71,12 @@ class ModelConfig:
             raise DataError("vocab_size must cover the reserved specials")
         if self.entity_count < 1:
             raise DataError("entity_count must be >= 1")
-        if self.variant == "full":
-            if self.entity_dim != self.hidden:
-                raise DataError("full variant requires entity_dim == hidden")
-            if self.vocab_size <= self.entity_count:
-                raise DataError("full variant stores entity tokens inside vocab_size")
-        else:
-            # cosine compatibility pairs entity rows with the CLS vector
-            if self.entity_dim != self.hidden:
-                raise DataError("dual/hybrid compatibility requires entity_dim == hidden")
+        # entity rows are read against hidden states: full's entity tokens share
+        # token_emb, and the cosine head pairs dual/hybrid rows with the CLS vector
+        if self.entity_dim != self.hidden:
+            raise DataError(f"entity_dim {self.entity_dim} must equal hidden {self.hidden}")
+        if self.variant == "full" and self.vocab_size <= self.entity_count:
+            raise DataError("full variant stores entity tokens inside vocab_size")
 
     @property
     def word_vocab_size(self) -> int:
@@ -97,8 +94,9 @@ class ModelConfig:
 
     @classmethod
     def for_vocab(cls, vocab: Vocabulary, variant: str, **overrides) -> "ModelConfig":
-        """Desk-scale config sized to a vocabulary (entities included)."""
+        """Desk-scale config sized to a vocabulary; ``entity_dim`` follows ``hidden``."""
         size = len(vocab) if variant == "full" else vocab.word_size
+        overrides.setdefault("entity_dim", overrides.get("hidden", cls.hidden))
         cfg = cls(vocab_size=size, entity_count=vocab.entity_count, variant=variant,
                   **overrides)
         cfg.validate()
@@ -170,9 +168,12 @@ class ModelParams:
         return ModelParams(self.config, {k: v.astype(dtype) for k, v in self.tensors.items()})
 
 
+INIT_STD = 0.02  # of every initialized weight matrix and embedding
+
+
 def init_params(config: ModelConfig, seed: int | np.random.Generator = 0,
-                dtype=np.float32, init_std: float = 0.02) -> ModelParams:
-    """Truncated-normal initialization (cut at two standard deviations)."""
+                dtype=np.float32) -> ModelParams:
+    """Truncated-normal initialization (``INIT_STD``, cut at two std)."""
     config.validate()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
@@ -182,7 +183,7 @@ def init_params(config: ModelConfig, seed: int | np.random.Generator = 0,
         elif name.endswith(("_b", "_ln_b")):
             tensors[name] = np.zeros(shape, dtype=dtype)
         else:
-            tensors[name] = _trunc_normal(rng, shape, init_std, dtype)
+            tensors[name] = _trunc_normal(rng, shape, INIT_STD, dtype)
     if "entity_table" in tensors:
         norms = np.linalg.norm(tensors["entity_table"], axis=1)
         if not np.all(norms > 0):

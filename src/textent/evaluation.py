@@ -34,7 +34,7 @@ from . import autodiff
 from .encoder import (ModelParams, encode_rows, mlm_logits,  # noqa: F401
                       normalize_rows, sentence_row, wrap_tensors)
 from .errors import DataError, NumericError
-from .finetune import READ_SCALE, EncodedTags
+from .finetune import EncodedTags
 from .text import CorpusExample, Query, TagVotes, Vocabulary, tokenize
 
 
@@ -149,7 +149,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Probability a random positive outscores a random negative (ties 1/2).
 
     Single-class labels are undefined: returns NaN with a warning so
-    aggregations can skip them.
+    aggregations can skip them. A NaN score makes the AUC NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -160,9 +160,13 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     if n_pos == 0 or n_neg == 0:
         warnings.warn("roc_auc undefined for single-class labels")
         return float("nan")
-    # Imported here: scipy.stats is slow to import, and only AUC reads it.
-    from scipy.stats import rankdata
-    rank_sum = float(rankdata(scores)[labels == 1].sum())  # average ranks, 1-based
+    if np.isnan(scores).any():
+        return float("nan")
+    # 1-based average ranks: tied scores share the mean of the ranks they span
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, side="left")
+             + np.searchsorted(ordered, scores, side="right") + 1) / 2.0
+    rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -201,7 +205,7 @@ def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str) -> Ranked
     """Rank every entity for a query with a pre-trained (not fine-tuned) model.
 
     The query is read as a tag before fine-tuning: dual and hybrid score
-    ``READ_SCALE`` times the cosine of its CLS encoding with each entity
+    ``finetune.READ_SCALE`` times the cosine of its CLS encoding with each entity
     embedding, full the log p(entity | [CLS] [MASK] [SEP] query [SEP]). A
     zero-norm query or entity row is a ``NumericError`` naming the query and
     the row.
@@ -211,7 +215,7 @@ def zero_shot_rank(params: ModelParams, vocab: Vocabulary, query: str) -> Ranked
     readout = "posterior" if cfg.variant == "full" else "cosine"
     try:
         encoded = EncodedTags.build(wrap_tensors(params), cfg, [tokens], readout)
-        scores = encoded.logits(np.arange(cfg.entity_count), READ_SCALE).data[0]
+        scores = encoded.logits(np.arange(cfg.entity_count)).data[0]
     except NumericError as exc:
         raise NumericError(f"query {query!r}: {exc}") from exc
     return rank_items(vocab.entity_ids, scores.tolist())

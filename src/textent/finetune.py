@@ -6,9 +6,9 @@ vocabulary is sampled as negatives, excluding that entity's known
 positives. One loop, ``run_finetune``, serves every variant: per
 positive, cross-entropy of the tag under a softmax over it and the
 entity's negatives (``tag_loss``). Entity embeddings stay frozen
-throughout: their gradient rows are zeroed before every optimizer step,
-and since fine-tuning starts from fresh optimizer state the rows remain
-bit-identical.
+throughout: their gradient rows (``entity_matrix`` of the gradients) are
+zeroed before every optimizer step, and since fine-tuning starts from fresh
+optimizer state the rows remain bit-identical.
 
 Each variant reads a tag through what its pretraining learned about all
 entities, so held-out entities are scored by the same readout. One class,
@@ -16,8 +16,9 @@ entities, so held-out entities are scored by the same readout. One class,
 logits, tag scoring reads them, and zero-shot retrieval
 (``evaluation.zero_shot_rank``) reads a query as a tag before fine-tuning.
 
-  dual    ``cosine``: scaled cosine between the tag's CLS encoding and the
-          entity embedding (the in-batch objective's score)
+  dual    ``cosine``: ``READ_SCALE`` times the cosine between the tag's CLS
+          encoding and the entity embedding (the in-batch objective's
+          score), one scale for training and for every read
   hybrid  ``head``: mean log-probability of the tag's tokens under the
           masked-word head, read at [CLS] [MASK]*n [SEP] with the entity
           embedding concatenated, as in the hybrid word term
@@ -41,9 +42,9 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .encoder import (ENTITY_POSITION, ModelConfig, ModelParams, cosine_head_tensors,
-                      encode_tensors, entity_row, flat_gather, hybrid_head_tensors,
-                      mlm_head_tensors, normalize_rows, pad_rows, sentence_row,
-                      wrap_tensors)
+                      encode_tensors, entity_matrix, entity_row, flat_gather,
+                      hybrid_head_tensors, mlm_head_tensors, normalize_rows, pad_rows,
+                      sentence_row, wrap_tensors)
 from .errors import DataError, NumericError, TrainingDiverged
 from .numerics import AdamState, adam_step, value_and_grads
 from .text import MASK, UNK, TagVotes, Vocabulary, tokenize
@@ -52,9 +53,9 @@ log = logging.getLogger(__name__)
 
 WEIGHT_MODES = ("linear", "log1p")
 PROTOCOLS = ("closed", "open")
-# The cosine multiplier of every score read after training (tag scoring,
-# zero-shot ranking). Metrics read only ranks; a power of two rescales the
-# cosines exactly, so it creates no ties.
+# The cosine multiplier of the ``cosine`` readout, in fine-tuning and in every
+# score read after it (tag scoring, zero-shot ranking). Metrics read only
+# ranks; a power of two rescales the cosines exactly, so it creates no ties.
 READ_SCALE = 4.0
 
 
@@ -67,7 +68,6 @@ class FinetuneConfig:
     seed: int = 0
     holdout_fraction: float = 0.2
     protocol: str = "closed"
-    score_scale: float = 4.0
 
     def validate(self) -> None:
         if not 0.0 < self.negative_rate <= 1.0:
@@ -78,8 +78,6 @@ class FinetuneConfig:
             raise DataError(f"unknown protocol {self.protocol!r}")
         if self.epochs < 0 or not 0.0 < self.holdout_fraction < 1.0:
             raise DataError("bad epochs or holdout_fraction")
-        if not self.score_scale > 0:
-            raise DataError(f"score_scale must be > 0, got {self.score_scale}")
 
 
 def example_weight(votes: int, mode: str = "log1p") -> float:
@@ -137,14 +135,6 @@ class FinetuneResult:
     params: ModelParams
     used_tags: set[str] = field(default_factory=set)
     metrics: list[dict] = field(default_factory=list)
-
-
-def _frozen_entity_grad_zero(params: ModelParams, grads: dict[str, np.ndarray]) -> None:
-    cfg = params.config
-    if cfg.variant == "full":
-        grads["token_emb"][cfg.word_vocab_size:] = 0.0
-    else:
-        grads["entity_table"][:] = 0.0
 
 
 def _tag_tokens(tag: str, vocab: Vocabulary) -> list[int]:
@@ -252,8 +242,8 @@ class EncodedTags:
         return cls(readout, pt, normalize_rows(encode_tensors(pt, cfg, *rows, read=read),
                                                "text"))
 
-    def logits(self, entities: Sequence[int] | np.ndarray, score_scale: float) -> Tensor:
-        """Scores [texts, len(entities)]; ``score_scale`` scales only ``cosine``."""
+    def logits(self, entities: Sequence[int] | np.ndarray) -> Tensor:
+        """Scores [texts, len(entities)]; ``cosine`` is ``READ_SCALE`` x cosine."""
         if self.readout == "posterior":
             return self.rows[:, entities]
         if self.readout == "head":
@@ -266,18 +256,17 @@ class EncodedTags:
             picked = logp[np.arange(n_tokens), self.layout.token_ids].reshape(n_tokens, 1)
             average = autodiff.constant(self.layout.average.astype(picked.dtype))
             return average @ picked
-        return cosine_head_tensors(self.pt, self.rows, entities, score_scale)
+        return cosine_head_tensors(self.pt, self.rows, entities, READ_SCALE)
 
 
 def tag_loss(pt: Mapping[str, Tensor], cfg: ModelConfig, tokens: Sequence[Sequence[int]],
-             entity_index: int, positive_count: int, weights: np.ndarray,
-             score_scale: float) -> Tensor:
+             entity_index: int, positive_count: int, weights: np.ndarray) -> Tensor:
     """One entity's fine-tuning loss: the tag softmax over its readout.
 
     ``tokens`` lists the positive tags first, then the negatives.
     """
     encoded = EncodedTags.build(pt, cfg, tokens, TAG_READOUT[cfg.variant])
-    scores = encoded.logits([entity_index], score_scale)[:, 0]
+    scores = encoded.logits([entity_index])[:, 0]
     return tag_softmax_loss(scores, positive_count, weights)
 
 
@@ -343,9 +332,9 @@ def run_finetune(params: ModelParams, votes: TagVotes, config: FinetuneConfig,
             index = vocab.entity_index(entity_id)
             try:
                 loss, grads = value_and_grads(
-                    lambda pt: tag_loss(pt, cfg, tokens, index, len(positives), weights,
-                                        config.score_scale), params.tensors)
-                _frozen_entity_grad_zero(params, grads)
+                    lambda pt: tag_loss(pt, cfg, tokens, index, len(positives), weights),
+                    params.tensors)
+                entity_matrix(ModelParams(cfg, grads))[:] = 0.0  # entities stay frozen
                 adam_step(params.tensors, grads, state)
             except NumericError as exc:
                 raise TrainingDiverged(
@@ -387,7 +376,7 @@ def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
     index = vocab.entity_index(entity_id)  # raises for unknown entities
     if encoded is None:
         encoded = _encode_tags(params, vocab, tags)
-    scores = encoded.logits([index], READ_SCALE).data[:, 0]
+    scores = encoded.logits([index]).data[:, 0]
     if encoded.readout == "cosine":
         return scores
     return np.exp(scores.astype(np.float64))

@@ -15,7 +15,7 @@ run on 64-bit parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -33,17 +33,17 @@ _CHUNK = 1 << 16
 
 @dataclass
 class AdamState:
-    """Adam moments, hyperparameters and step counter over one flat buffer.
+    """Adam moments, learning rate and step counter over one flat buffer.
 
     ``for_params`` lays the parameters out in one contiguous buffer; ``m``
     and ``v`` map each parameter name to its view into the flat moment
     buffers, so the moments can still be read by name.
     """
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -53,8 +53,7 @@ class AdamState:
     _flat: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-3) -> "AdamState":
         """Fresh state for ``params``, which it rebinds to views of one buffer.
 
         Every entry of ``params`` is copied into one contiguous buffer and
@@ -69,7 +68,7 @@ class AdamState:
         if params:
             np.concatenate([p.reshape(-1) for p in params.values()], out=flat)
         shapes = {name: p.shape for name, p in params.items()}
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        state = cls(lr=lr)
         m, v, g = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
         scratch = min(flat.size, _CHUNK)
         state._flat = (flat, m, v, g, np.empty(scratch, dtype), np.empty(scratch, dtype))

@@ -87,17 +87,17 @@ def test_criterion_1_gradient_integrity(small_world):
     tag_tokens = [tokenize(t, vocab) for t in small_world.votes.tags[:6]]
     check("finetune_softmax", cfg_dual,
           lambda p: lambda pt: tag_loss(pt, p.config, tag_tokens, 1, 2,
-                                        np.array([1.0, 0.5]), 4.0))
+                                        np.array([1.0, 0.5])))
 
     tags = small_world.votes.tags
     phrases = tags[:4] + [f"{tags[4]} {tags[5]}", f"{tags[6]} unseen {tags[7]}"]
     phrase_tokens = [tokenize(t, vocab) for t in phrases]
     check("finetune_head", cfg_hyb,
           lambda p: lambda pt: tag_loss(pt, p.config, phrase_tokens, 1, 2,
-                                        np.array([1.0, 0.5]), 4.0))
+                                        np.array([1.0, 0.5])))
     check("finetune_posterior", cfg_full,
           lambda p: lambda pt: tag_loss(pt, p.config, phrase_tokens, 3, 2,
-                                        np.array([1.3, 0.7]), 4.0))
+                                        np.array([1.3, 0.7])))
 
     elapsed = time.time() - t0
     ok = all(err < 1e-4 for err in errors.values()) and elapsed < 120

@@ -4,14 +4,14 @@ import json
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from textent import evaluation, finetune, objectives
-from textent.cli import main
+from textent import evaluation, finetune, objectives, synthetic
+from textent.cli import build_parser, main
 from textent.encoder import ModelConfig, entity_matrix, load_checkpoint
 from textent.evaluation import bos_rank
 from textent.text import Vocabulary, extend_with_entities, read_corpus, read_queries
@@ -21,8 +21,7 @@ GEN_ARGS = ["--entities", "10", "--attribute-vocab", "30",
             "--words-per-sentence", "6", "--noise-ratio", "0.2", "--clusters", "2"]
 
 TRAIN_ARGS = ["--layers", "1", "--heads", "2", "--hidden", "16",
-              "--ffn-hidden", "32", "--entity-dim", "16", "--batch-size", "8",
-              "--log-every", "0"]
+              "--ffn-hidden", "32", "--batch-size", "8", "--log-every", "0"]
 
 
 def _generate(path, seed="7"):
@@ -119,40 +118,32 @@ class TestExitCodes:
         assert problem in err and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
-        ["finetune", "--checkpoint", "{root}/ckpt", "--votes", "{data}/votes.jsonl",
-         "--seed", "1", "--out-dir", "{tmp}/ft", "--score-scale", "0"],
-        ["finetune", "--checkpoint", "{root}/ckpt", "--votes", "{data}/votes.jsonl",
-         "--seed", "1", "--out-dir", "{tmp}/ft", "--score-scale", "-4"],
-    ], ids=["finetune-zero", "finetune-negative"])
-    def test_non_positive_score_scale_is_data_error(self, workdir, tmp_path, capsys,
-                                                    args):
-        args = [a.format(root=workdir, data=workdir / "data", tmp=tmp_path) for a in args]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert "score_scale must be > 0" in err and "Traceback" not in err
-        assert not (tmp_path / "ft").exists()
-
-    @pytest.mark.parametrize("args", [
         ["retrieve", "--checkpoint", "{root}/ckpt", "--query", "x"],
         ["evaluate", "--task", "retrieval", "--checkpoint", "{root}/ckpt",
          "--queries", "{data}/queries.jsonl"],
         ["evaluate", "--task", "tags", "--checkpoint", "{root}/ckpt",
          "--votes", "{data}/votes.jsonl"],
-    ], ids=["retrieve", "evaluate-retrieval", "evaluate-tags"])
+        ["finetune", "--checkpoint", "{root}/ckpt", "--votes", "{data}/votes.jsonl",
+         "--seed", "1", "--out-dir", "{tmp}/ft"],
+    ], ids=["retrieve", "evaluate-retrieval", "evaluate-tags", "finetune"])
     def test_read_commands_take_no_score_scale(self, workdir, tmp_path, capsys, args):
-        """Scores read after training use one fixed scale: the flag is a usage
-        error, and a config file that sets it names the key."""
-        args = [a.format(root=workdir, data=workdir / "data") for a in args]
+        """Fine-tuning and every score read after it use one fixed scale: the
+        flag is a usage error reported against the subcommand, and a config
+        file that sets it names the key."""
+        args = [a.format(root=workdir, data=workdir / "data", tmp=tmp_path) for a in args]
         with pytest.raises(SystemExit) as info:
             main(args + ["--score-scale", "4"])
         assert info.value.code == 1
-        assert "unrecognized arguments: --score-scale 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage: textent {args[0]}" in err
+        assert "unrecognized arguments: --score-scale 4" in err
         cfg = tmp_path / "run.cfg"
         cfg.write_text("score_scale = 4\n")
         assert main(args + ["--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert "unknown config keys: ['score_scale']" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize("task, baseline, flags, accepted", [
         ("retrieval", "toptags", ["--queries", "{data}/queries.jsonl"], "tfidf or bos"),
@@ -608,6 +599,23 @@ class TestConfigDefaults:
                      "--query", query.text]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 10  # header, k = 10
         assert [asdict(c) for c in seen] == [asdict(evaluation.EvalConfig())]
+
+    @pytest.mark.parametrize("command, classes, io", [
+        ("generate", [synthetic.SyntheticWorldSpec], {"out_dir"}),
+        ("pretrain", [ModelConfig, objectives.TrainingConfig],
+         {"corpus", "vocab", "out_dir"}),
+        ("finetune", [finetune.FinetuneConfig], {"checkpoint", "votes", "vocab", "out_dir"}),
+    ], ids=["generate", "pretrain", "finetune"])
+    def test_every_training_flag_names_a_config_field(self, command, classes, io):
+        """A flag whose name is no field of the configs its command builds
+        would be dropped silently, so each one must name a field."""
+        parser = next(a.choices for a in build_parser()._actions
+                      if isinstance(a.choices, dict))[command]
+        flags = {a.dest for a in parser._actions} - {"help", "config", "seed"} - io
+        # entity_dim follows hidden; the vocabulary sizes the other two
+        names = {f.name for cls in classes for f in fields(cls)} - {
+            "seed", "entity_dim", "vocab_size", "entity_count"}
+        assert flags == names
 
 
 class TestRetrieve:

@@ -352,6 +352,14 @@ class TestConfig:
         with pytest.raises(DataError):
             ModelConfig(**{**TOY, "entity_dim": 8}, variant="full").validate()
 
+    @pytest.mark.parametrize("variant", ["dual", "full", "hybrid"])
+    def test_entity_dim_follows_hidden(self, small_world, variant):
+        cfg = ModelConfig.for_vocab(small_world.vocab, variant, hidden=16, heads=2)
+        assert cfg.entity_dim == cfg.hidden == 16
+        with pytest.raises(DataError, match="entity_dim 8 must equal hidden 16"):
+            ModelConfig.for_vocab(small_world.vocab, variant, hidden=16, heads=2,
+                                  entity_dim=8)
+
     def test_entity_row_layout(self):
         cfg = ModelConfig(**TOY, variant="full")
         row, segs = entity_row(36, [5, 6, 7], cfg)
@@ -398,7 +406,7 @@ class TestEveryTensorIsLive:
         cfg = tiny_configs[variant]
         tokens = [tokenize(t, small_world.vocab) for t in small_world.votes.tags[:6]]
         _, grads = value_and_grads(
-            lambda pt: tag_loss(pt, cfg, tokens, 1, 2, np.array([1.0, 0.5]), 4.0),
+            lambda pt: tag_loss(pt, cfg, tokens, 1, 2, np.array([1.0, 0.5])),
             init_params(cfg, seed=7).tensors)
         self._assert_live(grads, cfg)
 

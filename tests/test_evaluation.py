@@ -149,9 +149,22 @@ class TestRocAuc:
         labels = [1, 0, 1, 0, 0, 1]
         assert abs(roc_auc(scores, labels) - oracle_auc(scores, labels)) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("levels", [2, 5, None], ids=["ties", "some-ties", "distinct"])
+    def test_seeded_inputs_match_pair_counting(self, seed, levels):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        scores = (rng.integers(0, levels, n) / 4.0 if levels else rng.normal(size=n))
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]  # both classes present
+        assert abs(roc_auc(scores, labels) - oracle_auc(scores, labels)) < 1e-12
+
     def test_single_class_flagged_nan(self):
         with pytest.warns(UserWarning):
             assert math.isnan(roc_auc([0.1, 0.2], [1, 1]))
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(roc_auc([0.3, float("nan"), 0.1], [1, 0, 0]))
 
 
 class TestMrr:

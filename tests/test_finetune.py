@@ -315,14 +315,14 @@ class TestFinetuneGradients:
         cfg = tiny_configs["hybrid"]
         tokens = self._tag_tokens(small_world)
         err = self._check(cfg, lambda p: lambda pt: tag_loss(
-            pt, p.config, tokens, 1, 2, np.array([1.0, 0.5]), 4.0))
+            pt, p.config, tokens, 1, 2, np.array([1.0, 0.5])))
         assert err < 1e-4
 
     def test_full_tag_loss(self, small_world, tiny_configs):
         cfg = tiny_configs["full"]
         tokens = self._tag_tokens(small_world)
         err = self._check(cfg, lambda p: lambda pt: tag_loss(
-            pt, p.config, tokens, 3, 2, np.array([1.3, 0.7]), 4.0))
+            pt, p.config, tokens, 3, 2, np.array([1.3, 0.7])))
         assert err < 1e-4
 
 
