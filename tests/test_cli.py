@@ -93,6 +93,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:1: 'entity_id' is 3, not str" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("ratio", ["-0.5", "nan"])
+    def test_bad_distractor_ratio_is_data_error(self, tmp_path, capsys, ratio):
+        assert main(["generate", "--seed", "1", "--out-dir", str(tmp_path / "d"),
+                     "--distractor-ratio", ratio]) == 2
+        err = capsys.readouterr().err
+        assert f"distractor_ratio must be finite and >= 0, got {float(ratio)}" in err
+        assert "Traceback" not in err and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--entities", "3", "--attribute-vocab", "4", "--attributes-per-entity", "4",
+          "--clusters", "1", "--distractor-ratio", "0"],
+         "fewer distinct attribute sets than 3 entities"),
+        (["--attribute-vocab", "486001", "--attributes-per-entity", "1"],
+         "486001 attribute and 243000 filler words exceed the 729000 distinct words"),
+    ], ids=["attribute-sets", "words"])
+    def test_world_the_generator_cannot_finish_is_data_error(self, tmp_path, flags, problem):
+        """Checked before drawing starts; a draw would never end, hence the timeout."""
+        proc = subprocess.run([sys.executable, "-m", "textent.cli", "generate", "--seed", "1",
+                               "--out-dir", str(tmp_path / "d")] + flags,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert problem in proc.stderr and "Traceback" not in proc.stderr
+
     def test_lone_surrogate_escape_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "reviews.jsonl"
         bad.write_text('{"entity_id": "m\\ud800", "text": "a b c d e"}\n' * 5)

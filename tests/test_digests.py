@@ -21,6 +21,7 @@ def test_prints_every_digest_and_repeats_itself():
                                  ("finetune", "params"), ("finetune", "loss"),
                                  ("finetune", "scores"), ("zero_shot", "rankings"))]
     names.insert(names.index("zero_shot.dual.rankings") + 1, "bos.dual.matrix")
+    names.insert(0, "world")
     assert [line.split()[0] for line in lines] == names
     assert all(re.fullmatch(r"\S+  [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)

@@ -5,7 +5,14 @@
 
 Run it on two checkouts and diff the output: a change that claims to move
 no bits prints the same lines. One BLAS thread is used, so the digests do
-not depend on how the work is split between threads. Per variant it prints
+not depend on how the work is split between threads. It prints first
+
+  world
+      the generated world: corpus entity ids and tokens, vocabulary tokens
+      and kinds, vote counts in insertion order and the tag list, queries,
+      attributes, distractors and sentences;
+
+then per variant
 
   pretrain.<variant>.params / .losses
       the parameters and the per-step (loss, loss_entity, loss_mlm) trace
@@ -49,7 +56,11 @@ def collect(spec, steps: int) -> dict[str, str]:
     world = generate_synthetic(spec)
     (train_entities, held_entities), _ = splits(world)
     tags = world.votes.tags
-    out = {}
+    out = {"world": sha([(ex.entity_id, ex.tokens) for ex in world.corpus],
+                        world.vocab.id_to_token, world.vocab.kinds,
+                        list(world.votes.counts.items()), tags,
+                        [(q.text, q.relevant) for q in world.queries],
+                        world.attributes, world.distractors, world.sentences)}
     with tempfile.TemporaryDirectory() as tmp:
         for variant in VARIANTS:
             params, metrics = pretrain(world.corpus, world.vocab,
