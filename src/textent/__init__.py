@@ -14,8 +14,7 @@ from .evaluation import (EvalConfig, RankedList, TfidfIndex, binarize, bos_rank,
                          rank_items, recall_at_k, relevance, roc_auc,
                          top_tags_baseline, zero_shot_rank)
 from .finetune import (FinetuneConfig, FinetuneResult, example_weight,
-                       predict_tag_scores, run_finetune, sample_negatives,
-                       split_holdout)
+                       predict_tag_scores, run_finetune, split_holdout)
 from .numerics import AdamState, adam_step, grad_check, value_and_grads
 from .objectives import (LossOutput, MaskedBatch, TrainingConfig, build_batch,
                          mask_tokens, pretrain, pretrain_loss)

@@ -4,11 +4,11 @@ Each op records its inputs and a backward closure; ``Tensor.backward()``
 walks the recorded graph in reverse topological order and accumulates
 gradients into the leaves. Elementwise ops follow numpy broadcasting (the
 backward pass sums gradients back down to each operand's shape). ``matmul``
-requires operands of rank >= 2 with either equal batch dimensions or a
-plain 2-D operand; products where both operands carry batch dimensions use
-numpy's batched ``@``. ``matmul`` skips the gradient product of an operand
-that does not require a gradient, and ``mul``/``div`` skip the product for a
-constant operand.
+takes 2-D operands only; an activation with batch axes times a weight is a
+``linear``. ``matmul`` skips the gradient product of an operand that does
+not require a gradient, and ``mul``/``div`` skip the product for a constant
+operand. ``reduce_sum`` reduces fully or over axes it keeps, and
+``reduce_mean`` fully, so each backward is one broadcast of ``g``.
 
 Two fused nodes carry the transformer's dense work:
 
@@ -17,8 +17,7 @@ Two fused nodes carry the transformer's dense work:
     with the bias added in place. Its backward returns the input, weight
     and bias gradients directly: the weight gradient is one product of the
     flattened input's transpose with the flattened output gradient, and the
-    bias gradient one sum over all leading axes. ``matmul`` of a rank > 2
-    activation with a 2-D weight is a ``linear`` without bias.
+    bias gradient one sum over all leading axes.
 ``attention(q, k, v, heads, bias)``
     Multi-head scaled dot-product attention over ``[batch, seq, hidden]``
     projections, returning the context and the attention probabilities.
@@ -78,9 +77,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # -- graph construction ---------------------------------------------
 
     def _const(self, other) -> "Tensor":
@@ -115,8 +111,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return reduce_mean(self)
 
     # -- backward pass ----------------------------------------------------
 
@@ -243,19 +239,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul operands must have rank >= 2")
-    if a.ndim > 2 and b.ndim == 2:
-        return linear(a, b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("matmul takes 2-D operands; use linear for an activation "
+                         "with batch axes times a weight")
     out_data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-                   owned=True)
+            _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
-                   owned=True)
+            _accum(b, a.data.T @ g, owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -421,34 +414,25 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 # -- reductions -------------------------------------------------------------
 
 
-def _restore_axes(g: np.ndarray, axis, keepdims: bool, shape: tuple) -> np.ndarray:
-    if not keepdims and axis is not None:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
 def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    """Sum over every axis, or over ``axis`` with ``keepdims=True``."""
+    if axis is not None and not keepdims:
+        raise ValueError("reduce_sum over an axis keeps its dims")
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        _accum(a, _restore_axes(np.asarray(g), axis, keepdims, a.data.shape))
+        _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _node(out_data, (a,), backward)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
+def reduce_mean(a: Tensor) -> Tensor:
+    """Mean over every axis."""
+    out_data = a.data.mean()
+    count = a.data.size
 
     def backward(g):
-        scaled = np.asarray(g) / count
-        _accum(a, _restore_axes(scaled, axis, keepdims, a.data.shape))
+        _accum(a, np.broadcast_to(np.asarray(g) / count, a.data.shape))
 
     return _node(out_data, (a,), backward)
 

@@ -46,6 +46,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{line_no}: expected 'key = value'")
+        if "\0" in line:  # no path or flag can hold one
+            raise DataError(f"{path}:{line_no}: holds a NUL character")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -472,6 +474,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if args.seed is None:
             args.seed = 0
+        if args.seed < 0:
+            raise DataError(f"--seed must be >= 0, got {args.seed}")
         with _one_blas_thread():
             return args.fn(args)
     except DataError as exc:

@@ -32,6 +32,7 @@ slice of the tag vocabulary (held-out tags never enter a training batch).
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,6 +79,8 @@ class FinetuneConfig:
             raise DataError(f"unknown protocol {self.protocol!r}")
         if self.epochs < 0 or not 0.0 < self.holdout_fraction < 1.0:
             raise DataError("bad epochs or holdout_fraction")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def example_weight(votes: int, mode: str = "log1p") -> float:
@@ -89,16 +92,6 @@ def example_weight(votes: int, mode: str = "log1p") -> float:
     if mode == "log1p":
         return float(np.log1p(votes))
     raise DataError(f"unknown weight mode {mode!r}")
-
-
-def sample_negatives(entity_id: str, tag_vocab: Sequence[str],
-                     positives: Iterable[str], rate: float,
-                     rng: np.random.Generator) -> list[str]:
-    """Draw ``floor(rate * len(tag_vocab))`` tags uniformly, never positives."""
-    if not 0.0 < rate <= 1.0:
-        raise DataError("negative rate must be in (0, 1]")
-    pool, count = _negative_pool(entity_id, tag_vocab, positives, rate)
-    return _draw_negatives(pool, count, rng) if pool else []
 
 
 def _negative_pool(entity_id: str, tag_vocab: Sequence[str], positives: Iterable[str],
@@ -358,8 +351,7 @@ def _encode_tags(params: ModelParams, vocab: Vocabulary,
 
 
 def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
-                       tags: Sequence[str], *,
-                       encoded: EncodedTags | None = None) -> np.ndarray:
+                       tags: Sequence[str], *, encoded: EncodedTags) -> np.ndarray:
     """Score every tag for one entity; higher means more relevant.
 
     Full: the posterior p(entity | [CLS] [MASK] [SEP] tag [SEP]) over the
@@ -370,12 +362,11 @@ def predict_tag_scores(params: ModelParams, vocab: Vocabulary, entity_id: str,
     Scores are comparable across tags for one entity; evaluation consumes
     ranks.
 
-    ``score_tag_matrix`` passes ``encoded``, the tags encoded once, for
-    every entity.
+    ``encoded`` holds ``tags`` encoded once, as ``score_tag_matrix``
+    passes it for every entity; ``params`` and ``tags`` name what it was
+    built from (the benchmark's tracer reads ``tags`` by position).
     """
     index = vocab.entity_index(entity_id)  # raises for unknown entities
-    if encoded is None:
-        encoded = _encode_tags(params, vocab, tags)
     scores = encoded.logits([index]).data[:, 0]
     if encoded.readout == "cosine":
         return scores

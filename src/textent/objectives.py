@@ -28,6 +28,7 @@ so the softmax stays flat however well the model ranks; at the default of
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -68,10 +69,12 @@ class TrainingConfig:
         for name in ("word_mask_rate", "entity_mask_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise DataError(f"{name} must be in [0, 1]")
-        if self.loss_mix < 0:
-            raise DataError("loss_mix must be >= 0")
-        if self.score_scale <= 0:
-            raise DataError("score_scale must be > 0")
+        if not (math.isfinite(self.loss_mix) and self.loss_mix >= 0):
+            raise DataError(f"loss_mix must be finite and >= 0, got {self.loss_mix}")
+        for name in ("lr", "score_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be finite and > 0, got {value}")
         for name in ("checkpoint_every", "log_every"):
             value = getattr(self, name)
             if value < 0:

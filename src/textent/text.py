@@ -96,9 +96,6 @@ class Vocabulary:
             raise DataError(f"unknown token {token!r}")
         return tid
 
-    def detokenize(self, token_id: int) -> str:
-        return self.id_to_token[token_id]
-
     def entity_token(self, entity_id: str) -> int:
         tid = self.token_to_id.get(entity_id)
         if tid is None or self.kinds[tid] != "entity":

@@ -10,6 +10,8 @@ from scipy.special import erf
 from textent import autodiff
 from textent.encoder import ModelConfig, flat_gather
 from textent.evaluation import rank_items
+from textent.finetune import (_draw_negatives, _encode_tags, _negative_pool,
+                              predict_tag_scores)
 from textent.synthetic import SyntheticWorldSpec, generate_synthetic
 
 # ``tools/recipe.py``, the acceptance recipe, is imported as ``recipe``.
@@ -64,7 +66,20 @@ def rng():
 
 def render_example(example, vocab):
     """Sentence text for a corpus example (UNK renders as its marker)."""
-    return " ".join(vocab.detokenize(t) for t in example.tokens)
+    return " ".join(vocab.id_to_token[t] for t in example.tokens)
+
+
+def sample_negatives(entity_id, tag_vocab, positives, rate, rng):
+    """One entity's negatives with its pool built on the step: the reference
+    for the pools ``finetune._finetune_plan`` builds once per run."""
+    pool, count = _negative_pool(entity_id, tag_vocab, positives, rate)
+    return _draw_negatives(pool, count, rng) if pool else []
+
+
+def predict_tags(params, vocab, entity_id, tags):
+    """``predict_tag_scores`` of one entity, with ``tags`` encoded for it alone."""
+    return predict_tag_scores(params, vocab, entity_id, tags,
+                              encoded=_encode_tags(params, vocab, tags))
 
 
 def overlap_oracle_rank(attributes, query_words):
@@ -191,9 +206,10 @@ def adam_step_per_tensor(params, grads, state):
 # -- the composed graph the fused nodes replace ------------------------------------
 #
 # The encoder and heads run ``autodiff.linear`` and ``autodiff.attention``.
-# These chains build the same model from the elementary ops (matmul, bias
-# add, reshape, transpose, scale, mask add, softmax), in the same order;
-# ``tests/test_encoder.py`` pins the fused graph to them bit for bit.
+# These chains build the same model from the elementary ops (a bias-free
+# ``linear`` then a bias add, batched matmul, reshape, transpose, scale, mask
+# add, softmax), in the same order; ``tests/test_encoder.py`` pins the fused
+# graph to them bit for bit.
 
 
 def softmax(a, axis=-1):
@@ -209,8 +225,22 @@ def softmax(a, axis=-1):
     return autodiff._node(out_data, (a,), backward)
 
 
+def batched_matmul(a, b):
+    """``a @ b`` over equal batch axes, with its own backward; the composed
+    attention's products (``autodiff.matmul`` takes 2-D operands only)."""
+    out_data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            autodiff._accum(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
+        if b.requires_grad:
+            autodiff._accum(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
+
+    return autodiff._node(out_data, (a, b), backward)
+
+
 def composed_linear(x, w, b):
-    return x @ w + b
+    return autodiff.linear(x, w) + b
 
 
 def composed_attention(q, k, v, heads, bias):
@@ -220,11 +250,11 @@ def composed_attention(q, k, v, heads, bias):
     def split(t):
         return t.reshape(B, L, heads, hd).transpose(0, 2, 1, 3)
 
-    scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
+    scores = batched_matmul(split(q), split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
     if bias is not None:
         scores = scores + autodiff.constant(bias)
     probs = softmax(scores, axis=-1)
-    return (probs @ split(v)).transpose(0, 2, 1, 3).reshape(B, L, H)
+    return batched_matmul(probs, split(v)).transpose(0, 2, 1, 3).reshape(B, L, H)
 
 
 def encode_tensors_composed(pt, config, input_ids, segment_ids, pad_mask=None, read=None):

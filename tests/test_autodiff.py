@@ -29,12 +29,12 @@ def test_add_mul_broadcast_grads():
     _check(fn, params)
 
 
-def test_matmul_batched_grads():
-    params = {"x": _rand((2, 3, 4), 1), "w": _rand((4, 5), 2)}
+def test_matmul_grads():
+    params = {"x": _rand((3, 4), 1), "w": _rand((4, 5), 2)}
 
     def fn(pt):
-        y = pt["x"] @ pt["w"]           # broadcast 2-D operand
-        z = y @ y.transpose(0, 2, 1)    # batched matmul
+        y = pt["x"] @ pt["w"]
+        z = y @ y.transpose(1, 0)       # one node as both operands
         return (z * z).mean()
 
     _check(fn, params)
@@ -49,7 +49,7 @@ def test_dense_grads_with_one_operand_trained(shape, trained):
 
     def fn(pt):
         operands = {trained: pt[trained], frozen: const}
-        out = autodiff.gelu(operands["x"] @ operands["w"])
+        out = autodiff.gelu(autodiff.linear(operands["x"], operands["w"]))
         return (out * out).mean()
 
     _check(fn, {trained: data[trained]})
@@ -64,7 +64,7 @@ def test_dense_matches_batched_matmul_float32():
     w = rng.normal(size=(32, 48)).astype(np.float32)
     g = rng.normal(size=(6, 9, 48)).astype(np.float32)
     xt, wt = autodiff.parameter(x), autodiff.parameter(w)
-    out = xt @ wt
+    out = autodiff.linear(xt, wt)
     out.backward(g)
     assert out.data.dtype == xt.grad.dtype == wt.grad.dtype == np.float32
     np.testing.assert_allclose(out.data, np.matmul(x, w), rtol=1e-5, atol=1e-5)
@@ -255,7 +255,7 @@ def test_table_gathered_twice_and_transposed_grads():
 
     def fn(pt):
         rows = pt["table"][ids] + pt["table"][:3]      # token and position tables
-        logits = rows @ pt["table"].transpose(1, 0)    # tied output head
+        logits = autodiff.linear(rows, pt["table"].transpose(1, 0))  # tied output head
         return (logits * logits).mean() + rows.sum()
 
     _check(fn, params)
@@ -266,9 +266,14 @@ def test_concat_and_reductions_grads():
 
     def fn(pt):
         joined = autodiff.concat([pt["a"], pt["b"]], axis=-1)
-        return joined.mean(axis=0).sum() + (joined * joined).sum(axis=1).mean()
+        return joined.mean() + (joined * joined).sum(axis=-1, keepdims=True).mean()
 
     _check(fn, params)
+
+
+def test_reduce_sum_over_an_axis_keeps_dims():
+    with pytest.raises(ValueError, match="keeps its dims"):
+        autodiff.parameter(np.ones((3, 2))).sum(axis=0)
 
 
 def test_backward_accumulates_through_shared_nodes():
@@ -331,7 +336,10 @@ def test_dtype_preserved_through_graph():
 
 
 def test_matmul_rejects_vectors():
-    a = autodiff.parameter(np.ones(3))
-    b = autodiff.parameter(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        autodiff.matmul(a, b)
+    """And rank-3 operands: an activation with batch axes times a weight is ``linear``."""
+    w = autodiff.parameter(np.ones((3, 3)))
+    for shape in ((3,), (4, 5, 3)):
+        a = autodiff.parameter(np.ones(shape))
+        for left, right in ((a, w), (w, a)):
+            with pytest.raises(ValueError, match="linear"):
+                autodiff.matmul(left, right)

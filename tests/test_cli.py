@@ -1,5 +1,8 @@
 """Command-line behavior: determinism, formats, exit codes, end-to-end smoke."""
 
+import argparse
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from textent import evaluation, finetune, objectives, synthetic
 from textent.cli import build_parser, main
@@ -378,6 +383,132 @@ class TestExitCodes:
         assert code == 2
         assert row["entity_id"] in err and str(word_vocab) in err
         assert "Traceback" not in err
+
+
+class TestRunSettings:
+    """A bad seed or learning rate is a data error that names it, before any
+    world is drawn or any step is taken."""
+
+    @staticmethod
+    def _args(command, workdir, out):
+        data = workdir / "data"
+        return {"generate": ["generate", "--out-dir", str(out)] + GEN_ARGS,
+                "pretrain": ["pretrain", "--corpus", str(data / "corpus.jsonl"),
+                             "--vocab", str(data / "vocab.tsv"), "--variant", "dual",
+                             "--out-dir", str(out)] + TRAIN_ARGS,
+                "finetune": ["finetune", "--checkpoint", str(workdir / "ckpt"),
+                             "--votes", str(data / "votes.jsonl"),
+                             "--out-dir", str(out)]}[command]
+
+    @staticmethod
+    def _no_work(monkeypatch):
+        for owner, name in ((synthetic, "generate_synthetic"), (objectives, "build_batch"),
+                            (finetune, "run_finetune")):
+            monkeypatch.setattr(owner, name, None)  # a call would be a TypeError
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["generate", "pretrain", "finetune"])
+    def test_negative_seed_is_data_error(self, workdir, tmp_path, capsys, monkeypatch,
+                                         command, source):
+        self._no_work(monkeypatch)
+        args = self._args(command, workdir, tmp_path / "out")
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -1\n")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"textent {command}: error: --seed must be >= 0, got -1" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_bad_lr_is_data_error(self, workdir, tmp_path, capsys, monkeypatch, command,
+                                  lr):
+        monkeypatch.setattr(objectives, "build_batch", None)
+        monkeypatch.setattr(finetune, "adam_step", None)
+        args = self._args(command, workdir, tmp_path / "out") + ["--seed", "1",
+                                                                  "--lr", lr]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"lr must be finite and > 0, got {float(lr)}" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return dict(sub.choices)
+
+
+_KEYS = sorted({a.dest for p in _subcommands().values() for a in p._actions}
+               - {"help", "config"})
+# Values that parse as numbers are small, so a file that happens to make a
+# valid world draws a small one; free text holds no decimal digits.
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e400", "dual", "full", "hybrid", "open",
+                     "tags", "retrieval", "tfidf", "bos", "toptags", "mean", ".", "..",
+                     "a\0b"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12))
+
+
+def _config_file(command: str):
+    """A file of ``key = value`` lines, most often naming what ``command``
+    requires, or any bytes at all."""
+    required = _subcommands()[command].get_default("_required")
+    pairs = st.tuples(
+        st.fixed_dictionaries({}, optional=dict.fromkeys(required, _VALUES)),
+        st.lists(st.tuples(st.one_of(st.sampled_from(_KEYS), st.text(max_size=8)),
+                           _VALUES), max_size=6))
+    lines = pairs.map(lambda p: "".join(f"{k} = {v}\n"
+                                        for k, v in [*p[0].items(), *p[1]]).encode())
+    return st.one_of(lines, st.binary(max_size=64))
+
+
+# Every path a subcommand writes is set on the command line, under a regular
+# file, so no run writes anything.
+_WRITES = {"generate": ["--out-dir", "{blocked}/out"],
+           "preprocess": ["--out-dir", "{blocked}/out"],
+           "pretrain": ["--out-dir", "{blocked}/out"],
+           "finetune": ["--out-dir", "{blocked}/out"],
+           "evaluate": ["--out", "{blocked}/report.jsonl", "--dump-dir", "{blocked}/dump"],
+           "retrieve": [],
+           "export": ["--out", "{blocked}/emb.tsv"]}
+
+
+class TestAnyConfigFile:
+    """Whatever a ``--config`` file holds, every subcommand ends in a usage
+    or data error with no traceback. The working directory is empty, so each
+    input a file names is missing, and every output is blocked."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(case=("generate", b"seed = -1\n"))
+    @example(case=("pretrain", b"seed = -1\nlr = nan\n"))
+    @example(case=("finetune", b"seed = -1\n"))
+    @example(case=("retrieve", b"checkpoint = a\0b\nquery = x\n"))
+    @given(case=st.sampled_from(sorted(_WRITES)).flatmap(
+        lambda command: st.tuples(st.just(command), _config_file(command))))
+    def test_exits_1_or_2_without_a_traceback(self, tmp_path, monkeypatch, case):
+        command, content = case
+        (tmp_path / "blocked").touch()
+        (tmp_path / "cwd").mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / "cwd")
+        config = tmp_path / "run.cfg"
+        config.write_bytes(content)
+        args = [a.format(blocked=tmp_path / "blocked") for a in _WRITES[command]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([command, "--config", str(config), *args])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not any((tmp_path / "cwd").iterdir())
 
 
 class TestEvaluateInputs:

@@ -25,11 +25,10 @@ from textent.evaluation import (BosIndex, EvalConfig, TfidfIndex, average_precis
                                 ndcg_at_k, precision_at_k,
                                 rank_items, recall_at_k, relevance, roc_auc,
                                 top_tags_baseline, zero_shot_rank)
-from textent.finetune import predict_tag_scores
 from textent.text import CorpusExample, Query, TagVotes, build_vocab, tokenize
 
 from conftest import (oracle_ap, oracle_auc, oracle_ndcg, oracle_precision,
-                      overlap_oracle_rank)
+                      overlap_oracle_rank, predict_tags)
 
 
 class TestBinarize:
@@ -330,7 +329,7 @@ class TestZeroShot:
         ranked = zero_shot_rank(params, vocab, query)
         got = np.asarray([dict(zip(ranked.ids, ranked.scores))[e]
                           for e in vocab.entity_ids])
-        tag = np.asarray([predict_tag_scores(params, vocab, e, [query])[0]
+        tag = np.asarray([predict_tags(params, vocab, e, [query])[0]
                           for e in vocab.entity_ids])
         if variant == "full":
             np.testing.assert_allclose(np.exp(got), tag, rtol=0, atol=1e-6)
@@ -351,7 +350,7 @@ class TestBagOfSentences:
         params = zero_shot_setup["dual"]
         vocab = small_world.vocab
         ex = small_world.corpus[0]
-        query = " ".join(vocab.detokenize(t) for t in ex.tokens)
+        query = " ".join(vocab.id_to_token[t] for t in ex.tokens)
         ranked = bos_rank(params, vocab, query, small_world.corpus, "max")
         score = dict(zip(ranked.ids, ranked.scores))[ex.entity_id]
         assert abs(score - 1.0) < 1e-6

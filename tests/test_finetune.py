@@ -6,17 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from textent import finetune
 from textent.encoder import ModelConfig, encode, init_params, sentence_row
 from textent.errors import DataError, TrainingDiverged
 from textent.finetune import (PROTOCOLS, FinetuneConfig, _draw_negatives, _finetune_plan,
-                              example_weight, predict_tag_scores,
-                              run_finetune, sample_negatives, score_tag_matrix,
-                              split_holdout, export_predictions, tag_loss)
+                              _negative_pool, example_weight, run_finetune,
+                              score_tag_matrix, split_holdout, export_predictions,
+                              tag_loss)
 from textent.numerics import grad_check
 from textent.objectives import TrainingConfig, pretrain
 from textent.text import MASK, TagVotes, tokenize
 
-from conftest import hybrid_mlm_logits_ref
+from conftest import hybrid_mlm_logits_ref, predict_tags, sample_negatives
 
 
 class TestExampleWeight:
@@ -34,41 +35,51 @@ class TestExampleWeight:
             example_weight(0, "linear")
 
 
-class TestSampleNegatives:
-    def test_all_positive_vocab_gives_empty(self, rng):
+class TestNegativePool:
+    def test_all_positive_vocab_leaves_no_pool(self):
         vocab = ["a", "b", "c"]
         with pytest.warns(UserWarning):
-            assert sample_negatives("m", vocab, vocab, 0.5, rng) == []
+            assert _negative_pool("m", vocab, vocab, 0.5) == ([], 0)
 
-    def test_rate_covering_whole_complement(self, rng):
-        vocab = [f"t{i}" for i in range(10)]
-        out = sample_negatives("m", vocab, vocab[:5], 1.0, rng)
-        assert sorted(out) == vocab[5:]
-
-    def test_never_returns_positives(self, rng):
+    def test_pool_is_the_sorted_complement_and_count_the_rate(self):
         vocab = [f"t{i}" for i in range(30)]
+        pool, count = _negative_pool("m", vocab[::-1], vocab[:10], 0.3)
+        assert pool == vocab[10:] and count == 9  # floor(0.3 * 30)
+
+    def test_count_capped_at_the_pool(self):
+        vocab = [f"t{i}" for i in range(10)]
+        assert _negative_pool("m", vocab, vocab[:5], 1.0) == (vocab[5:], 5)
+
+
+class TestDrawNegatives:
+    def test_whole_pool_comes_back_in_pool_order(self, rng):
+        pool = [f"t{i}" for i in range(5, 10)]
+        assert _draw_negatives(pool, len(pool), rng) == pool
+
+    def test_distinct_draws_from_the_pool(self, rng):
+        pool = [f"t{i}" for i in range(10, 30)]
         for _ in range(20):
-            out = sample_negatives("m", vocab, vocab[:10], 0.3, rng)
-            assert not set(out) & set(vocab[:10])
-            assert len(out) == 9  # floor(0.3 * 30)
+            out = _draw_negatives(pool, 9, rng)
+            assert len(set(out)) == 9 and set(out) <= set(pool)
+            assert out == sorted(out, key=pool.index)
 
     def test_inclusion_frequency_uniform_within_3_sigma(self):
-        vocab = [f"t{i:03d}" for i in range(100)]
+        pool = [f"t{i:03d}" for i in range(100)]
         rng = np.random.default_rng(0)
         counts = Counter()
         draws = 10_000
         for _ in range(draws):
-            for t in sample_negatives("m", vocab, [], 0.1, rng):
+            for t in _draw_negatives(pool, 10, rng):
                 counts[t] += 1
         mean = draws * 0.1
         sigma = math.sqrt(draws * 0.1 * 0.9)
-        for t in vocab:
+        for t in pool:
             assert abs(counts[t] - mean) <= 3 * sigma
 
     def test_deterministic_for_fixed_rng(self):
-        vocab = [f"t{i}" for i in range(50)]
-        a = sample_negatives("m", vocab, vocab[:5], 0.2, np.random.default_rng(3))
-        b = sample_negatives("m", vocab, vocab[:5], 0.2, np.random.default_rng(3))
+        pool = [f"t{i}" for i in range(5, 50)]
+        a = _draw_negatives(pool, 10, np.random.default_rng(3))
+        b = _draw_negatives(pool, 10, np.random.default_rng(3))
         assert a == b
 
 
@@ -142,11 +153,28 @@ class TestFrozenEntityEmbeddings:
 
 class TestDivergence:
     @pytest.mark.parametrize("variant", ["full", "dual", "hybrid"])
-    def test_non_finite_loss_names_epoch_and_entity(self, variant, trained, small_world):
-        cfg = FinetuneConfig(epochs=1, seed=4, lr=float("nan"))
+    def test_non_finite_loss_names_epoch_and_entity(self, variant, trained, small_world,
+                                                    monkeypatch):
+        real = finetune.adam_step
+
+        def poisoned(params, grads, state):  # the first update leaves a NaN bias
+            real(params, grads, state)
+            params["emb_ln_b"][0] = np.nan
+
+        monkeypatch.setattr(finetune, "adam_step", poisoned)
+        cfg = FinetuneConfig(epochs=1, seed=4)
         with pytest.raises(TrainingDiverged,
-                           match=r"epoch 1, entity 'e\d+': non-finite loss"):
+                           match=r"epoch 1, entity 'e\d+': non-finite loss nan"):
             run_finetune(trained[variant], small_world.votes, cfg, small_world.vocab)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_non_finite_or_non_positive_lr_rejected_before_a_step(self, trained,
+                                                                  small_world,
+                                                                  monkeypatch, lr):
+        monkeypatch.setattr(finetune, "adam_step", None)  # a step would be a TypeError
+        with pytest.raises(DataError, match="lr must be finite and > 0"):
+            run_finetune(trained["dual"], small_world.votes,
+                         FinetuneConfig(epochs=1, lr=lr), small_world.vocab)
 
 
 class TestOpenVocabulary:
@@ -218,20 +246,20 @@ class TestPlan:
 class TestPredictTagScores:
     def test_deterministic(self, trained, small_world):
         tags = small_world.votes.tags[:8]
-        a = predict_tag_scores(trained["dual"], small_world.vocab, "e0001", tags)
-        b = predict_tag_scores(trained["dual"], small_world.vocab, "e0001", tags)
+        a = predict_tags(trained["dual"], small_world.vocab, "e0001", tags)
+        b = predict_tags(trained["dual"], small_world.vocab, "e0001", tags)
         np.testing.assert_array_equal(a, b)
 
     def test_full_variant_scores_are_probabilities(self, trained, small_world):
         tags = small_world.votes.tags[:10]
-        scores = predict_tag_scores(trained["full"], small_world.vocab, "e0002", tags)
+        scores = predict_tags(trained["full"], small_world.vocab, "e0002", tags)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_full_scores_are_the_entity_posterior(self, trained, small_world):
         """p(entity | tag) over the entity block sums to one per tag."""
         vocab = small_world.vocab
         tags = small_world.votes.tags[:5]
-        total = sum(predict_tag_scores(trained["full"], vocab, e, tags)
+        total = sum(predict_tags(trained["full"], vocab, e, tags)
                     for e in vocab.entity_ids)
         np.testing.assert_allclose(total, np.ones(len(tags)), rtol=1e-5)
 
@@ -241,23 +269,23 @@ class TestPredictTagScores:
         tags = small_world.votes.tags
         phrases = ["completely unseen phrase", f"{tags[0]} {tags[1]}",
                    f"{tags[2]} unseen {tags[3]}", "", tags[4]]
-        scores = predict_tag_scores(trained[variant], small_world.vocab, "e0001",
+        scores = predict_tags(trained[variant], small_world.vocab, "e0001",
                                     phrases)
         assert scores.shape == (len(phrases),) and np.all(np.isfinite(scores))
 
     def test_unknown_entity_rejected(self, trained, small_world):
         with pytest.raises(DataError):
-            predict_tag_scores(trained["dual"], small_world.vocab, "nope",
+            predict_tags(trained["dual"], small_world.vocab, "nope",
                                small_world.votes.tags[:3])
 
     def test_unknown_tag_words_fall_back_to_unk(self, trained, small_world):
-        scores = predict_tag_scores(trained["dual"], small_world.vocab, "e0000",
+        scores = predict_tags(trained["dual"], small_world.vocab, "e0000",
                                     ["completely unseen phrase"])
         assert scores.shape == (1,) and np.isfinite(scores[0])
 
     def test_rank_order_invariant_under_monotone_transform(self, trained, small_world):
         tags = small_world.votes.tags[:12]
-        scores = predict_tag_scores(trained["hybrid"], small_world.vocab, "e0003", tags)
+        scores = predict_tags(trained["hybrid"], small_world.vocab, "e0003", tags)
         transformed = np.exp(3.0 * scores) + 5.0
         assert np.argsort(-scores).tolist() == np.argsort(-transformed).tolist()
 
@@ -267,7 +295,7 @@ class TestPredictTagScores:
         vocab = small_world.vocab
         a, b = small_world.votes.tags[:2]
         params = trained["hybrid"]
-        got = predict_tag_scores(params, vocab, "e0002", [f"{a} {b}", a])
+        got = predict_tags(params, vocab, "e0002", [f"{a} {b}", a])
         row, segs = sentence_row([MASK, MASK], params.config)
         hidden = encode(row, segs, params).hidden_states
         ent = params.tensors["entity_table"][vocab.entity_index("e0002")]
@@ -292,7 +320,7 @@ class TestScoreTagMatrix:
         matrix = score_tag_matrix(params, vocab, vocab.entity_ids, tags)
         assert list(matrix) == vocab.entity_ids
         for entity_id in vocab.entity_ids:
-            alone = predict_tag_scores(params, vocab, entity_id, tags)
+            alone = predict_tags(params, vocab, entity_id, tags)
             assert [matrix[entity_id][t] for t in tags] == alone.tolist(), entity_id
 
 

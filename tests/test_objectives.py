@@ -287,14 +287,33 @@ class TestPretrain:
         with pytest.raises(DataError):
             pretrain([], small_world.vocab, tiny_configs["dual"], TrainingConfig())
 
-    def test_nan_loss_aborts_with_step_and_entities(self, small_world):
+    def test_nan_loss_aborts_with_step_and_entities(self, small_world, monkeypatch):
         vocab = small_world.vocab
         cfg = ModelConfig.for_vocab(vocab, "dual", layers=1, heads=2, hidden=16,
                                     ffn_hidden=32, entity_dim=16)
-        train = TrainingConfig(batch_size=4, steps=3, seed=0, lr=float("nan"),
-                               log_every=0)
-        with pytest.raises(TrainingDiverged, match="step"):
+        real = objectives.adam_step
+
+        def poisoned(params, grads, state):  # step 1's update leaves a NaN bias
+            real(params, grads, state)
+            params["emb_ln_b"][0] = np.nan
+
+        monkeypatch.setattr(objectives, "adam_step", poisoned)
+        train = TrainingConfig(batch_size=4, steps=3, seed=0, log_every=0)
+        with pytest.raises(TrainingDiverged,
+                           match=r"non-finite loss nan at step 2; batch entities"):
             pretrain(small_world.corpus, vocab, cfg, train)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0), ("lr", 0.0),
+        ("score_scale", float("nan")), ("loss_mix", float("inf")),
+    ])
+    def test_non_finite_or_non_positive_rate_rejected_before_a_step(
+            self, small_world, tiny_configs, monkeypatch, field, value):
+        monkeypatch.setattr(objectives, "build_batch", None)  # no step may start
+        train = TrainingConfig(batch_size=4, steps=3, seed=0, log_every=0,
+                               **{field: value})
+        with pytest.raises(DataError, match=f"{field} must be finite"):
+            pretrain(small_world.corpus, small_world.vocab, tiny_configs["dual"], train)
 
     def test_nan_gradient_aborts_with_step_and_parameter(self, small_world,
                                                          monkeypatch):

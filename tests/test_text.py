@@ -52,9 +52,9 @@ class TestVocabulary:
         assert vocab.lookup("[PAD]") == 0
         assert vocab.lookup("[UNK]") == 4
 
-    def test_lookup_detokenize_round_trip(self, vocab):
+    def test_lookup_inverts_id_to_token(self, vocab):
         for tid in range(len(vocab)):
-            assert vocab.lookup(vocab.detokenize(tid)) == tid
+            assert vocab.lookup(vocab.id_to_token[tid]) == tid
 
     def test_build_vocab_one_word(self):
         v = build_vocab([["hello"], ["hello"]])
@@ -69,7 +69,7 @@ class TestVocabulary:
         counts = Counter(w for doc in docs for w in doc)  # independent recount
         expected = sorted(counts, key=lambda w: (-counts[w], w))
         v = build_vocab(docs)
-        got = [v.detokenize(i) for i in range(5, len(v))]
+        got = v.id_to_token[5:]
         assert got == expected  # b, a, c, d
 
     def test_save_load_round_trip(self, vocab, tmp_path):
