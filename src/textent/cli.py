@@ -105,22 +105,21 @@ def _at_least_one(args, flag: str) -> None:
         raise DataError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _read_split(path) -> dict:
-    """The ``split.json`` that ``finetune`` writes, as a JSON object."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            split = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(split, dict):
-        raise DataError(f"{path} is not a JSON object")
-    return split
-
-
-def _split_list(split: dict, path, key: str) -> list:
-    if not isinstance(split.get(key), list):
-        raise DataError(f"{path} has no {key!r} list")
-    return split[key]
+def _split_problem(split: dict, votes: text.TagVotes, lists: tuple[str, ...]) -> str | None:
+    """Why ``finetune``'s split cannot be read for ``lists`` (held list first), or None."""
+    problem = text._row_problem(split, protocol=str)
+    if problem is None and split["protocol"] not in ft.PROTOCOLS:
+        return f"'protocol' is {split['protocol']!r}, not one of {ft.PROTOCOLS}"
+    problem = problem or text._row_problem(split, **dict.fromkeys(lists, list[str]))
+    for key in () if problem else lists:
+        known, seen = set(votes.tags if key == "held_tags" else votes.entity_ids()), set()
+        for name in split[key]:
+            if name not in known:
+                return f"{key!r} names {name!r}, which has no votes"
+            if name in seen:
+                return f"{key!r} names {name!r} twice"
+            seen.add(name)
+    return problem or (None if split[lists[0]] else f"{lists[0]!r} is empty")
 
 
 def _load_model(args) -> tuple[ModelParams, text.Vocabulary]:
@@ -273,16 +272,16 @@ def cmd_evaluate(args) -> int:
         if not split_path and args.checkpoint:
             split_path = Path(args.checkpoint) / "split.json"
             split_path = split_path if split_path.exists() else None
-        split = _read_split(split_path) if split_path else None
-        if split is None:
-            entities = votes.entity_ids()
-            tags = votes.tags
-        elif split.get("protocol") == "open":
-            entities = votes.entity_ids()
-            tags = _split_list(split, split_path, "held_tags")
-        else:
-            entities = _split_list(split, split_path, "held_entities")
-            tags = votes.tags
+        entities, tags, split = votes.entity_ids(), votes.tags, {}
+        if split_path:
+            split = text.read_json_object(split_path)
+            held = "held_tags" if split.get("protocol") == "open" else "held_entities"
+            lists = (held, "train_entities") if args.baseline == "toptags" else (held,)
+            problem = _split_problem(split, votes, lists)
+            if problem:
+                raise DataError(f"{split_path}: {problem}")
+            entities, tags = ((entities, split[held]) if held == "held_tags"
+                              else (split[held], tags))
         if args.baseline == "tfidf":
             _require(args, "corpus", "vocab")
             corpus = text.read_corpus(args.corpus)
@@ -290,8 +289,7 @@ def cmd_evaluate(args) -> int:
             index = evaluation.TfidfIndex(corpus, vocab)
             scores = {e: index.tag_scores(e, tags) for e in entities}
         elif args.baseline == "toptags":
-            order = evaluation.top_tags_baseline(
-                votes, _split_list(split, split_path, "train_entities") if split else None)
+            order = evaluation.top_tags_baseline(votes, split.get("train_entities"))
             rank_score = {t: float(len(order) - i) for i, t in enumerate(order)}
             scores = {e: {t: rank_score.get(t, 0.0) for t in tags} for e in entities}
         else:
@@ -300,10 +298,9 @@ def cmd_evaluate(args) -> int:
             scores = ft.score_tag_matrix(params, vocab, entities, tags)
         rows = evaluation.evaluate_tag_scores(scores, votes, eval_cfg, entities, tags)
     if args.out:
-        evaluation.write_report(args.out, rows)
+        text.write_jsonl(args.out, rows)
     else:
-        for row in rows:
-            sys.stdout.write(json.dumps(row) + "\n")
+        sys.stdout.writelines(json.dumps(row) + "\n" for row in rows)
     return 0
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .errors import DataError, NumericError
-from .text import CLS, PAD, SEP, Vocabulary
+from .text import CLS, PAD, SEP, Vocabulary, _row_problem, read_json_object
 
 VARIANTS = ("dual", "full", "hybrid")
 
@@ -459,45 +459,37 @@ def _read_manifest(directory: Path) -> dict:
     """The checkpoint's manifest; DataError naming it for anything malformed."""
     path = directory / _MANIFEST
     try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = read_json_object(path)
     except FileNotFoundError as exc:
         raise DataError(f"no checkpoint manifest in {directory}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path} is not a JSON object")
-    for key in ("format", "version", "config", "dtype", "tensors"):
-        if key not in manifest:
-            raise DataError(f"{path} has no {key!r}")
+    problem = _row_problem(manifest, format=str, version=int, config=dict, dtype=str,
+                           tensors=dict)
+    if problem:
+        raise DataError(f"{path}: {problem}")
     if manifest["format"] != _FORMAT:
         raise DataError(f"{path}: format {manifest['format']!r} is not {_FORMAT!r}")
-    version = manifest["version"]
-    if type(version) is not int or not 1 <= version <= _VERSION:
-        raise DataError(f"{path}: unsupported version {version!r}")
+    if not 1 <= manifest["version"] <= _VERSION:
+        raise DataError(f"{path}: unsupported version {manifest['version']}")
     if manifest["dtype"] not in _DTYPES:
         raise DataError(f"{path}: dtype {manifest['dtype']!r} is not one of {_DTYPES}")
-    for key in ("config", "tensors"):
-        if not isinstance(manifest[key], dict):
-            raise DataError(f"{path}: {key!r} is not a JSON object")
     root = directory.resolve()
     for name, meta in manifest["tensors"].items():
-        if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)
-                and isinstance(meta.get("shape"), list)):
-            raise DataError(f"{path}: tensor {name!r} needs a 'file' string "
-                            f"and a 'shape' list")
+        problem = _row_problem(meta, file=str, shape=list[int])
+        if problem:
+            raise DataError(f"{path}: tensor {name!r}: {problem}")
+        if "\0" in meta["file"]:  # no path can hold one
+            raise DataError(f"{path}: tensor {name!r} file holds a NUL character")
         if (Path(meta["file"]).is_absolute()
                 or not (root / meta["file"]).resolve().is_relative_to(root)):
             raise DataError(f"{path}: tensor {name!r} file {meta['file']!r} is "
                             f"outside the checkpoint directory")
-    defaults = asdict(ModelConfig())
-    unknown = sorted(set(manifest["config"]) - set(defaults))
+    defaults, config = asdict(ModelConfig()), manifest["config"]
+    unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise DataError(f"{path}: unknown config keys {unknown}")
-    for key, value in manifest["config"].items():
-        if type(value) is not type(defaults[key]):
-            raise DataError(f"{path}: config {key!r} is {value!r}, "
-                            f"not {type(defaults[key]).__name__}")
+    problem = _row_problem(config, **{key: type(defaults[key]) for key in config})
+    if problem:
+        raise DataError(f"{path}: config {problem}")
     return manifest
 
 

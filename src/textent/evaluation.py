@@ -15,7 +15,6 @@ label = 1 iff votes > threshold.
 from __future__ import annotations
 
 import ctypes
-import json
 import math
 import os
 import warnings
@@ -509,12 +508,6 @@ def evaluate_retrieval(ranked_lists: Sequence[RankedList], queries: Sequence[Que
         rows.append({"metric": "coverage", "k": None,
                      "value": len(covered) / len(queries), "n": len(queries)})
     return rows
-
-
-def write_report(path: str | Path, rows: Sequence[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
 
 
 def dump_rankings(path: str | Path, queries: Sequence[Query],

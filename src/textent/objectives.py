@@ -102,17 +102,16 @@ def mask_tokens(tokens: Sequence[int], rate: float,
                 ) -> tuple[list[int], list[int], list[int]]:
     """Independently mask each eligible position with probability ``rate``.
 
-    By default every non-special token is eligible; pass ``maskable`` to
-    restrict further (e.g. to the sentence span of a structured row).
+    A ``NEVER_MASKED`` id is never eligible; pass ``maskable`` to restrict
+    further (e.g. to the sentence span of a structured row).
     Returns (masked tokens, positions, original labels).
     """
     if not 0.0 <= rate <= 1.0:
         raise DataError("mask rate must be in [0, 1]")
     masked = list(tokens)
-    if maskable is None:
-        maskable = [t not in NEVER_MASKED for t in masked]
-    draws = rng.random(len(masked))
-    positions = [i for i in range(len(masked)) if maskable[i] and draws[i] < rate]
+    hits = (rng.random(len(masked)) < rate).tolist()
+    positions = [i for i, (t, hit) in enumerate(zip(masked, hits)) if hit
+                 and t not in NEVER_MASKED and (maskable is None or maskable[i])]
     labels = [masked[i] for i in positions]
     for i in positions:
         masked[i] = MASK
@@ -153,9 +152,8 @@ def build_batch(examples: Sequence[CorpusExample], vocab: Vocabulary,
             masked_entity = False
         ent_masked.append(masked_entity)
         if word_mask_rate > 0:
-            eligible = [first_word <= i < len(row) - 1 and row[i] != MASK
-                        for i in range(len(row))]
-            row, pos, lab = mask_tokens(row, word_mask_rate, rng, maskable=eligible)
+            frame = [first_word <= i < len(row) - 1 for i in range(len(row))]
+            row, pos, lab = mask_tokens(row, word_mask_rate, rng, maskable=frame)
         else:
             pos, lab = [], []
         rows.append(row)

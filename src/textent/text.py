@@ -328,6 +328,10 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(ensure_ascii=False)
+_decode = json.JSONDecoder().raw_decode  # json.loads less its set-up; lines come stripped
+
+
 def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """(1-based line number, parsed object) for every non-blank line; bad
     JSON and a string holding a lone surrogate are ``DataError``s."""
@@ -337,9 +341,11 @@ def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
         if not line:
             continue
         try:
-            row = json.loads(line)
+            row, end = _decode(line)
+            if end < len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
             if "\\u" in line:  # only an escape decodes to a lone surrogate
-                json.dumps(row, ensure_ascii=False).encode("utf-8")
+                _encode(row).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise DataError(f"{path}:{line_no}: a string holds a lone surrogate "
                             f"escape") from exc
@@ -349,10 +355,25 @@ def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object a UTF-8 file holds; a ``DataError`` naming ``path`` if not."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+            _encode(value).encode("utf-8")  # fails on a lone surrogate escape
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{path}: a string holds a lone surrogate escape") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise DataError(f"{path} is not a JSON object")
+    return value
+
+
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(_encode(row) + "\n")
 
 
 def read_raw_reviews(path: str | Path) -> list[tuple[str, str, str]]:
@@ -374,41 +395,43 @@ def write_corpus(path: str | Path, examples: Iterable[CorpusExample]) -> None:
 
 
 def read_corpus(path: str | Path) -> list[CorpusExample]:
-    """Corpus rows; each needs a string entity_id and non-negative integer
-    token ids (whether an id fits a vocabulary is the consumer's check)."""
+    """Corpus rows; each needs a string entity_id and a non-empty list of token
+    ids >= 0 (whether an id fits a vocabulary is the consumer's check)."""
     out = []
     for line_no, row in _numbered_jsonl(path):
-        entity_id = row.get("entity_id") if isinstance(row, dict) else None
-        tokens = row.get("tokens") if isinstance(row, dict) else None
-        problem = None
-        if not isinstance(entity_id, str):
-            problem = "corpus row has no string entity_id"
-        elif not isinstance(tokens, list) or not tokens:
-            problem = f"corpus row for {entity_id!r} has no tokens"
-        elif not all(type(t) is int and t >= 0 for t in tokens):
-            problem = (f"corpus row for {entity_id!r} has a token id that is not "
-                       f"a non-negative integer")
+        problem = _row_problem(row, entity_id=str, tokens=list[int])
+        if problem is None and not row["tokens"]:
+            problem = f"corpus row for {row['entity_id']!r} has no tokens"
+        elif problem is None and min(row["tokens"]) < 0:
+            problem = (f"corpus row for {row['entity_id']!r} has a token id that is "
+                       f"not a non-negative integer")
         if problem:
             raise DataError(f"{path}:{line_no}: {problem}")
-        out.append(CorpusExample(entity_id, tokens))
+        out.append(CorpusExample(row["entity_id"], row["tokens"]))
     return out
 
 
 def write_votes(path: str | Path, votes: TagVotes) -> None:
-    rows = [{"entity_id": e, "tag": t, "votes": c}
-            for (e, t), c in sorted(votes.counts.items())]
-    write_jsonl(path, rows)
+    write_jsonl(path, ({"entity_id": e, "tag": t, "votes": c}
+                       for (e, t), c in sorted(votes.counts.items())))
 
 
-def _row_problem(row, **kinds: type) -> str | None:
-    """What is wrong with a JSONL row that needs each field of its type."""
+def _row_problem(row, **kinds) -> str | None:
+    """What is wrong with a JSON object's fields; ``list[int]`` checks each element."""
     if not isinstance(row, dict):
-        return "row is not a JSON object"
+        return "not a JSON object"
     for key, kind in kinds.items():
         if key not in row:
-            return f"row has no {key!r}"
-        if type(row[key]) is not kind:
-            return f"{key!r} is {row[key]!r}, not {kind.__name__}"
+            return f"{key!r} is missing"
+        value = row[key]
+        if type(value) is kind:
+            continue
+        if type(value) is not getattr(kind, "__origin__", kind):
+            return f"{key!r} is {value!r}, not {kind.__name__}"
+        (item,) = kind.__args__
+        if list(map(type, value)).count(item) < len(value):
+            bad = next(v for v in value if type(v) is not item)
+            return f"{key!r} holds {bad!r}, not {item.__name__}"
     return None
 
 
@@ -434,11 +457,7 @@ def read_queries(path: str | Path) -> list[Query]:
     relevant_entity_ids."""
     queries = []
     for line_no, row in _numbered_jsonl(path):
-        problem = _row_problem(row, query=str, relevant_entity_ids=list)
-        bad = [] if problem else [e for e in row["relevant_entity_ids"]
-                                  if type(e) is not str]
-        if bad:
-            problem = f"relevant entity id {bad[0]!r} is not a string"
+        problem = _row_problem(row, query=str, relevant_entity_ids=list[str])
         if problem:
             raise DataError(f"{path}:{line_no}: {problem}")
         queries.append(Query(row["query"], list(row["relevant_entity_ids"])))

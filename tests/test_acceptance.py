@@ -327,6 +327,8 @@ def test_criterion_7_contract_suite(small_world, tmp_path):
         tokens = [CLS, 7, PAD, 8, MASK, 9, SEP]
         out, positions, _ = mask_tokens(tokens, 1.0, rng)
         masked_ok = masked_ok and positions == [1, 3, 5]
+        framed = mask_tokens(tokens, 1.0, rng, maskable=[True] * len(tokens))[1]
+        masked_ok = masked_ok and framed == [1, 3, 5]  # a frame, as build_batch passes
         masked_ok = masked_ok and out[0] == CLS and out[2] == PAD and out[6] == SEP
     checks["mask-specials"] = masked_ok
 

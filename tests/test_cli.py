@@ -19,7 +19,8 @@ from textent import evaluation, finetune, objectives, synthetic
 from textent.cli import build_parser, main
 from textent.encoder import ModelConfig, entity_matrix, load_checkpoint
 from textent.evaluation import bos_rank
-from textent.text import Vocabulary, extend_with_entities, read_corpus, read_queries
+from textent.text import (Vocabulary, extend_with_entities, read_corpus, read_queries,
+                          read_votes)
 
 GEN_ARGS = ["--entities", "10", "--attribute-vocab", "30",
             "--attributes-per-entity", "4", "--sentences-per-entity", "8",
@@ -191,9 +192,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("task, flag, row, problem", [
         ("tags", "--votes", {"entity_id": "e0000", "tag": "t", "votes": "many"},
          "'votes' is 'many'"),
-        ("tags", "--votes", {"entity_id": "e0000", "votes": 3}, "row has no 'tag'"),
+        ("tags", "--votes", {"entity_id": "e0000", "votes": 3}, "'tag' is missing"),
         ("retrieval", "--queries", {"relevant_entity_ids": ["e0000"]},
-         "row has no 'query'"),
+         "'query' is missing"),
     ])
     def test_bad_vote_or_query_row_is_data_error(self, tmp_path, capsys, task, flag,
                                                   row, problem):
@@ -235,7 +236,7 @@ class TestExitCodes:
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
         err = capsys.readouterr().err
-        assert "has no 'config'" in err and "Traceback" not in err
+        assert "manifest.json: 'config' is missing" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("damage, problem", [
         (lambda m: "{not json", "is not valid JSON"),
@@ -249,16 +250,23 @@ class TestExitCodes:
         (lambda m: {**m, "dtype": "<i4"}, "dtype '<i4'"),
         (lambda m: {**m, "version": 99}, "unsupported version 99"),
         (lambda m: {**m, "format": "nope"}, "format 'nope'"),
-        (lambda m: {**m, "tensors": list(m["tensors"])}, "'tensors' is not a JSON object"),
+        (lambda m: {**m, "tensors": list(m["tensors"])}, "'tensors' is ['"),
+        (lambda m: {**m, "version": "3"}, "'version' is '3', not int"),
         (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
             "file": "tensors/entity_table.bin"}}},
-         "tensor 'entity_table' needs a 'file' string and a 'shape' list"),
+         "tensor 'entity_table': 'shape' is missing"),
         (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": [
             "tensors/entity_table.bin", [10, 16]]}},
-         "tensor 'entity_table' needs a 'file' string and a 'shape' list"),
+         "tensor 'entity_table': not a JSON object"),
         (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
             "file": "tensors/entity_table.bin", "shape": "10x16"}}},
-         "tensor 'entity_table' needs a 'file' string and a 'shape' list"),
+         "tensor 'entity_table': 'shape' is '10x16', not list"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
+            "file": "tensors/entity_table.bin", "shape": [10.0, 16]}}},
+         "tensor 'entity_table': 'shape' holds 10.0, not int"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
+            **m["tensors"]["seg_emb"], "file": "\ud800"}}},
+         "a string holds a lone surrogate escape"),
         (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
             **m["tensors"]["seg_emb"], "file": "../other/tensors/seg_emb.bin"}}},
          "tensor 'seg_emb' file '../other/tensors/seg_emb.bin' is outside"),
@@ -266,8 +274,9 @@ class TestExitCodes:
             **m["tensors"]["seg_emb"], "file": str(Path(__file__).resolve())}}},
          "tensor 'seg_emb' file"),
     ], ids=["not-json", "not-utf8", "deep-nesting", "unknown-config-key", "config-value-type", "big-endian-dtype", "int-dtype",
-            "unknown-version", "unknown-format", "tensors-list", "tensor-without-shape",
-            "tensor-as-list", "shape-not-list", "file-outside", "file-absolute"])
+            "unknown-version", "unknown-format", "tensors-list", "version-not-int",
+            "tensor-without-shape", "tensor-as-list", "shape-not-list", "shape-float",
+            "file-lone-surrogate", "file-outside", "file-absolute"])
     def test_bad_manifest_is_data_error(self, workdir, tmp_path, capsys, damage,
                                         problem):
         ckpt = tmp_path / "ckpt"
@@ -323,16 +332,19 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("split, baseline, problem", [
-        ("{not json", "toptags", "is not valid JSON"),
-        ('{"protocol": "caf\udce9"}', "toptags", "is not valid JSON"),
-        ("[" * 100_000, "toptags", "is not valid JSON"),
-        ({"protocol": "open", "train_tags": []}, "toptags", "has no 'held_tags' list"),
+        ("{not json", "toptags", " is not valid JSON"),
+        ('{"protocol": "caf\udce9"}', "toptags", " is not valid JSON"),
+        ("[" * 100_000, "toptags", " is not valid JSON"),
+        ("[]", "toptags", " is not a JSON object"),
+        ('{"protocol": "open", "held_tags": ["\\udc00"]}', "toptags",
+         ": a string holds a lone surrogate escape"),
+        ({"protocol": "open", "train_tags": []}, "toptags", ": 'held_tags' is missing"),
         ({"protocol": "closed", "train_entities": []}, "toptags",
-         "has no 'held_entities' list"),
+         ": 'held_entities' is missing"),
         ({"protocol": "closed", "held_entities": ["e0000"]}, "toptags",
-         "has no 'train_entities' list"),
-    ], ids=["not-json", "not-utf8", "deep-nesting", "no-held-tags", "no-held-entities",
-            "no-train-entities"])
+         ": 'train_entities' is missing"),
+    ], ids=["not-json", "not-utf8", "deep-nesting", "not-object", "lone-surrogate",
+            "no-held-tags", "no-held-entities", "no-train-entities"])
     def test_bad_split_is_data_error(self, workdir, tmp_path, capsys, split, baseline,
                                      problem):
         path = tmp_path / "split.json"
@@ -342,7 +354,63 @@ class TestExitCodes:
                      "--votes", str(workdir / "data" / "votes.jsonl"),
                      "--split", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"{path} " in err and problem in err and "Traceback" not in err
+        assert f"{path}{problem}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda s, e, t: s, None),
+        (lambda s, e, t: {**s, "protocol": "open", "held_tags": t[2:]}, None),
+        (lambda s, e, t: {**s, "protocol": "open", "held_tags": [None]},
+         "'held_tags' holds None, not str"),
+        (lambda s, e, t: {**s, "protocol": "open", "held_tags": [t[0], "no-such-tag"]},
+         "'held_tags' names 'no-such-tag', which has no votes"),
+        (lambda s, e, t: {**s, "held_entities": [e[0], "e9999"]},
+         "'held_entities' names 'e9999', which has no votes"),
+        (lambda s, e, t: {**s, "held_entities": [e[0], e[1], e[0]]},
+         "'held_entities' names 'e0000' twice"),
+        (lambda s, e, t: {**s, "held_entities": []}, "'held_entities' is empty"),
+        (lambda s, e, t: {**s, "protocol": "bogus"},
+         "'protocol' is 'bogus', not one of ('closed', 'open')"),
+        (lambda s, e, t: {**s, "protocol": "Open"}, "'protocol' is 'Open', not one of"),
+        (lambda s, e, t: {k: v for k, v in s.items() if k != "protocol"},
+         "'protocol' is missing"),
+    ], ids=["closed", "open", "held-tag-null", "unknown-tag", "unknown-entity",
+            "entity-twice", "no-held-entity", "bogus-protocol", "misspelt-protocol",
+            "no-protocol"])
+    @pytest.mark.parametrize("baseline", ["model", "tfidf", "toptags"])
+    def test_split_names_what_the_votes_hold(self, workdir, tmp_path, capsys, edit,
+                                             problem, baseline):
+        """Every list a split hands to scoring holds distinct entities or tags
+        with votes; the unedited splits score on every path."""
+        data = workdir / "data"
+        votes = read_votes(data / "votes.jsonl")
+        entities, tags = votes.entity_ids(), votes.tags
+        split = {"protocol": "closed", "train_entities": entities[2:],
+                 "held_entities": entities[:2], "train_tags": tags, "held_tags": []}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(edit(split, entities, tags)))
+        run = {"model": ["--checkpoint", str(workdir / "ckpt")],
+               "tfidf": ["--baseline", "tfidf", "--corpus", str(data / "corpus.jsonl"),
+                         "--vocab", str(data / "vocab.tsv")],
+               "toptags": ["--baseline", "toptags"]}[baseline]
+        code = main(["evaluate", "--task", "tags", "--votes", str(data / "votes.jsonl"),
+                     "--split", str(path), *run])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if problem is None:
+            assert code == 0 and json.loads(captured.out.splitlines()[0])["n"] >= 1
+        else:
+            assert code == 2 and captured.out == ""
+            assert f"textent evaluate: error: {path}: {problem}" in captured.err
+
+    @pytest.mark.parametrize("train", [[5], ["e0000", "e0000"], ["e9999"], "e0000"])
+    def test_toptags_reads_train_entities_checked(self, workdir, tmp_path, capsys, train):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"protocol": "closed", "held_entities": ["e0001"],
+                                    "train_entities": train}))
+        assert main(["evaluate", "--task", "tags", "--baseline", "toptags", "--split",
+                     str(path), "--votes", str(workdir / "data" / "votes.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: 'train_entities' " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("variant", ["dual", "full"])
     @pytest.mark.parametrize("extra_entities", [1, -1])
@@ -479,6 +547,17 @@ _WRITES = {"generate": ["--out-dir", "{blocked}/out"],
            "export": ["--out", "{blocked}/emb.tsv"]}
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, usage errors included."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 class TestAnyConfigFile:
     """Whatever a ``--config`` file holds, every subcommand ends in a usage
     or data error with no traceback. The working directory is empty, so each
@@ -500,15 +579,95 @@ class TestAnyConfigFile:
         config = tmp_path / "run.cfg"
         config.write_bytes(content)
         args = [a.format(blocked=tmp_path / "blocked") for a in _WRITES[command]]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = main([command, "--config", str(config), *args])
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (1, 2), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        code, err = _run_quietly([command, "--config", str(config), *args])
+        assert code in (1, 2), err
+        assert "Traceback" not in err
         assert not any((tmp_path / "cwd").iterdir())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_SPLIT_KEYS = ("protocol", "train_entities", "held_entities", "train_tags", "held_tags")
+_DELETE = object()
+
+
+class TestAnySplitFile:
+    """Whatever ``split.json`` holds, ``evaluate --task tags`` on the model,
+    TF-IDF and top-tags paths exits 0 or 2 with no traceback."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exits_0_or_2_without_a_traceback(self, workdir, tmp_path, data):
+        votes = read_votes(workdir / "data" / "votes.jsonl")
+        names = st.sampled_from([*votes.entity_ids()[:3], *votes.tags[:3], "e9999", ""])
+        value = (st.sampled_from(["closed", "open", "bogus"]) | _JSON
+                 | st.lists(names, max_size=4))
+        split = st.fixed_dictionaries({}, optional=dict.fromkeys(_SPLIT_KEYS, value))
+        content = data.draw((split | _JSON).map(lambda v: json.dumps(v).encode())
+                            | st.binary(max_size=24))
+        (tmp_path / "split.json").write_bytes(content)
+        run = data.draw(st.sampled_from([
+            ["--checkpoint", str(workdir / "ckpt")],
+            ["--baseline", "tfidf", "--corpus", str(workdir / "data" / "corpus.jsonl"),
+             "--vocab", str(workdir / "data" / "vocab.tsv")],
+            ["--baseline", "toptags"]]))
+        code, err = _run_quietly(["evaluate", "--task", "tags", "--split",
+                                  str(tmp_path / "split.json"), "--votes",
+                                  str(workdir / "data" / "votes.jsonl"), *run])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+
+
+_TENSORS = st.sampled_from(["entity_table", "layer0.ffn_w1", "seg_emb", "token_emb"])
+_MANIFEST_EDIT = st.tuples(
+    st.one_of(st.sampled_from(["format", "version", "config", "dtype", "tensors", "extra"])
+              .map(lambda k: (k,)),
+              st.sampled_from([f.name for f in fields(ModelConfig)] + ["extra"])
+              .map(lambda k: ("config", k)),
+              _TENSORS.map(lambda t: ("tensors", t)),
+              st.tuples(st.just("tensors"), _TENSORS, st.sampled_from(["file", "shape"]))),
+    st.one_of(_JSON, st.just(_DELETE), st.integers(-2, 70),
+              st.lists(st.integers(-1, 70), max_size=3),
+              st.sampled_from(["<f4", "<f8", ">f4", "textent-checkpoint", "dual", "full",
+                               "tensors/seg_emb.bin", "../ckpt/tensors/seg_emb.bin", ".",
+                               "tensors", "a\0b", "/etc/hostname"])))
+
+
+class TestAnyManifest:
+    """Whatever edits a checkpoint's manifest takes, or whatever JSON value
+    replaces it, ``retrieve`` and ``export`` exit 0 or 2 with no traceback."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(edits=[(("tensors", "seg_emb", "file"), "a\0b")], whole=None,
+             command="retrieve")
+    @given(edits=st.lists(_MANIFEST_EDIT, max_size=3), whole=st.none() | _JSON,
+           command=st.sampled_from(["retrieve", "export"]))
+    def test_exits_0_or_2_without_a_traceback(self, workdir, tmp_path, edits, whole,
+                                              command):
+        ckpt = tmp_path / "ckpt"
+        if not ckpt.exists():
+            shutil.copytree(workdir / "ckpt", ckpt)
+        manifest = json.loads((workdir / "ckpt" / "manifest.json").read_text())
+        for path, value in edits:
+            parent = manifest
+            for key in path[:-1]:
+                parent = parent.get(key) if isinstance(parent, dict) else None
+            if isinstance(parent, dict) and value is _DELETE:
+                parent.pop(path[-1], None)
+            elif isinstance(parent, dict):
+                parent[path[-1]] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest if edits or whole is None
+                                                       else whole))
+        run = {"retrieve": ["retrieve", "--query", "x"],
+               "export": ["export", "--out", str(tmp_path / "emb.tsv")]}[command]
+        code, err = _run_quietly([*run, "--checkpoint", str(ckpt)])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
 
 
 class TestEvaluateInputs:

@@ -252,6 +252,20 @@ class TestBuildBatch:
             with pytest.raises(DataError, match=f"{good.entity_id!r}.*{bad_id}"):
                 build_batch([good, bad], small_world.vocab, cfg)
 
+    @pytest.mark.parametrize("variant", ["hybrid", "full"])
+    def test_special_ids_inside_a_sentence_are_never_masked(self, small_world,
+                                                            tiny_configs, variant):
+        """Only the words 5 and 6 become targets, whatever the row's frame
+        allows; ``read_corpus`` accepts the special ids as token ids."""
+        entity_id = small_world.corpus[0].entity_id
+        row = CorpusExample(entity_id, [5, CLS, 6, SEP, PAD])
+        batch = build_batch([row], small_world.vocab, tiny_configs[variant],
+                            rng=np.random.default_rng(0), word_mask_rate=1.0)
+        first = 1 if variant == "hybrid" else ENTITY_POSITION + 2
+        assert batch.mask_positions[0].tolist() == [first, first + 2]
+        assert batch.mask_labels[0].tolist() == [5, 6]
+        assert batch.input_ids[0, first + 1:first + 5].tolist() == [CLS, MASK, SEP, PAD]
+
 
 class TestPretrain:
     def test_loss_improves_over_200_steps(self, small_world):

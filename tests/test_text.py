@@ -11,8 +11,8 @@ from textent.errors import DataError
 from textent.text import (CLS, MASK, PAD, SEP, UNK, CorpusExample, Query,
                           TagVotes, Vocabulary, build_vocab, extend_with_entities,
                           normalize_words, preprocess, read_corpus, read_queries,
-                          read_raw_reviews, read_votes, tokenize, write_corpus,
-                          write_queries, write_votes)
+                          read_json_object, read_raw_reviews, read_votes, tokenize,
+                          write_corpus, write_jsonl, write_queries, write_votes)
 
 from conftest import render_example
 
@@ -197,10 +197,13 @@ class TestFileFormats:
         assert read_corpus(tmp_path / "c.jsonl") == examples
 
     @pytest.mark.parametrize("row, problem", [
-        ('{"tokens": [5, 6]}', "no string entity_id"),
+        ('{"tokens": [5, 6]}', "'entity_id' is missing"),
+        ('{"entity_id": 2, "tokens": [5, 6]}', "'entity_id' is 2, not str"),
+        ('{"entity_id": "m2", "tokens": 5}', "'tokens' is 5, not list"),
         ('{"entity_id": "m2", "tokens": [5, -1]}', "not a non-negative integer"),
-        ('{"entity_id": "m2", "tokens": [5, 6.5]}', "not a non-negative integer"),
-        ('{"entity_id": "m2", "tokens": [5, "6"]}', "not a non-negative integer"),
+        ('{"entity_id": "m2", "tokens": [5, 6.5]}', "'tokens' holds 6.5, not int"),
+        ('{"entity_id": "m2", "tokens": [5, "6"]}', "'tokens' holds '6', not int"),
+        ('{"entity_id": "m2", "tokens": [5, true]}', "'tokens' holds True, not int"),
         ('{"entity_id": "m2", "tokens": []}', "no tokens"),
         ('{"entity_id": "m\\ud800", "tokens": [5]}', "lone surrogate escape"),
     ])
@@ -210,6 +213,33 @@ class TestFileFormats:
         with pytest.raises(DataError, match=problem) as exc:
             read_corpus(path)
         assert f"{path}:3:" in str(exc.value)
+
+    def test_jsonl_bytes_match_json_dumps(self, tmp_path):
+        rows = [{"entity_id": "caf\u00e9", "text": "na\u00efve \u2603 \U0001f600 \"q\"\n"},
+                {"tokens": [5, 6], "k": None, "value": float("nan"), "x": -0.0},
+                {"relevant_entity_ids": ["\u00df", "m1"], "votes": 3}]
+        write_jsonl(tmp_path / "r.jsonl", rows)
+        want = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert (tmp_path / "r.jsonl").read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("content, problem", [
+        (b"{not json", " is not valid JSON"),
+        (b'{"a": "caf\xe9"}', " is not valid JSON"),
+        (b"[" * 100_000, " is not valid JSON"),
+        (b"[1, 2]", " is not a JSON object"),
+        (b'{"a": ["\\ud800"]}', ": a string holds a lone surrogate escape"),
+    ], ids=["bad-json", "not-utf8", "deep-nesting", "not-object", "lone-surrogate"])
+    def test_bad_json_object_names_file(self, tmp_path, content, problem):
+        path = tmp_path / "x.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError) as exc:
+            read_json_object(path)
+        assert str(exc.value).startswith(f"{path}{problem}")
+
+    def test_json_object_reads_escapes(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"a": ["\\ud83d\\ude00", "\\u00e9"], "b": {"c": 1}}')
+        assert read_json_object(path) == {"a": ["\U0001f600", "\u00e9"], "b": {"c": 1}}
 
     def test_raw_reviews_read_with_and_without_entity_name(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -243,21 +273,21 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("reader, row, problem", [
         (read_votes, '{"entity_id": "m1", "tag": "t", "votes": "many"}', "'votes' is 'many'"),
-        (read_votes, '{"entity_id": "m1", "votes": 2}', "no 'tag'"),
+        (read_votes, '{"entity_id": "m1", "votes": 2}', "'tag' is missing"),
         (read_votes, '{"entity_id": "m1", "tag": "t", "votes": 0}', "must be >= 1"),
-        (read_queries, '{"relevant_entity_ids": ["m1"]}', "no 'query'"),
+        (read_queries, '{"relevant_entity_ids": ["m1"]}', "'query' is missing"),
         (read_queries, '["dark", ["m1"]]', "not a JSON object"),
         (read_queries, '{"query": "q", "relevant_entity_ids": [1, null]}',
-         "relevant entity id 1 is not a string"),
+         "'relevant_entity_ids' holds 1, not str"),
         (read_queries, '{"query": "q", "relevant_entity_ids": ["m1", null]}',
-         "relevant entity id None is not a string"),
-        (read_raw_reviews, '[1, 2]', "row is not a JSON object"),
+         "'relevant_entity_ids' holds None, not str"),
+        (read_raw_reviews, '[1, 2]', ":2: not a JSON object"),
         (read_raw_reviews, '{"entity_id": "m2", "text": 5}', "'text' is 5, not str"),
         (read_raw_reviews, '{"entity_id": 3, "entity_name": 4, "text": "t"}',
          "'entity_id' is 3, not str"),
         (read_raw_reviews, '{"entity_id": "m2", "entity_name": 4, "text": "t"}',
          "'entity_name' is 4, not str"),
-        (read_raw_reviews, '{"entity_id": "m2"}', "row has no 'text'"),
+        (read_raw_reviews, '{"entity_id": "m2"}', "'text' is missing"),
         (read_raw_reviews, '{"entity_id": "m\\ud800", "text": "t"}',
          "lone surrogate escape"),
         (read_votes, '{"entity_id": "m1", "tag": "x\\udc00", "votes": 1}',
