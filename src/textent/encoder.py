@@ -59,10 +59,10 @@ class ModelConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}")
-        if self.hidden % self.heads != 0:
-            raise DataError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.layers < 0 or self.heads < 1 or self.hidden < 2:
             raise DataError("bad encoder dimensions")
+        if self.hidden % self.heads != 0:
+            raise DataError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.ffn_hidden < 1:
             raise DataError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
         if self.max_seq_len < 4:  # the shortest full row: [CLS] entity [SEP] [SEP]

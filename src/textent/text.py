@@ -112,7 +112,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Read ``save``'s TSV; DataError at ``path:line`` for a malformed line."""
+        """Read ``save``'s TSV; DataError at ``path:line`` for a malformed line.
+
+        Ids 0-4 must be ``SPECIAL_TOKENS`` in order, of kind ``special``, and
+        no later token may be special.
+        """
         vocab = cls()
         for line_no, line in numbered_lines(path):
             line = line.rstrip("\n")
@@ -128,6 +132,14 @@ class Vocabulary:
                 problem = f"id {fields[1]} is not the next id, {len(vocab)}"
             elif fields[2] not in _KINDS:
                 problem = f"kind {fields[2]!r} is not one of {_KINDS}"
+            elif len(vocab) < len(SPECIAL_TOKENS):
+                if (fields[0], fields[2]) != (SPECIAL_TOKENS[len(vocab)], "special"):
+                    problem = (f"id {len(vocab)} must be special token "
+                               f"{SPECIAL_TOKENS[len(vocab)]!r}, got {fields[2]} "
+                               f"{fields[0]!r}")
+            elif fields[2] == "special":
+                problem = (f"special token {fields[0]!r} after the reserved ids "
+                           f"0-{len(SPECIAL_TOKENS) - 1}")
             elif vocab.entity_ids and fields[2] != "entity":
                 problem = f"{fields[2]} token {fields[0]!r} after the entity block"
             elif fields[0] in vocab.token_to_id:
@@ -138,6 +150,9 @@ class Vocabulary:
             vocab._append(token, kind)
             if kind == "entity":
                 vocab.entity_ids.append(token)
+        if len(vocab) < len(SPECIAL_TOKENS):
+            raise DataError(f"{path}: {len(vocab)} tokens, fewer than the "
+                            f"{len(SPECIAL_TOKENS)} special tokens")
         return vocab
 
 
@@ -236,8 +251,13 @@ def preprocess(raw_reviews: Iterable[tuple[str, str, str]], *,
     occurrences of the entity's own name are replaced by UNK. Reviews are
     split into sentences on ``. ! ?`` and truncated to ``max_seq_len``
     tokens. Entities are processed in sorted id order, which fixes both the
-    vocabulary and the output ordering.
+    vocabulary and the output ordering. ``max_seq_len`` must be >= 1 and the
+    other settings >= 0.
     """
+    for name, value, least in (("min_words", min_words, 0), ("min_reviews", min_reviews, 0),
+                               ("max_seq_len", max_seq_len, 1), ("min_freq", min_freq, 0)):
+        if value < least:
+            raise DataError(f"{name} must be >= {least}, got {value}")
     by_entity: dict[str, list[tuple[str, str]]] = {}
     for entity_id, entity_name, text in raw_reviews:
         by_entity.setdefault(entity_id, []).append((entity_name, text))

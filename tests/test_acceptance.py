@@ -3,10 +3,11 @@
 Criteria 4-6 train the acceptance recipe of ``tools/recipe.py`` on a
 committed synthetic world (100 entities, 20 attributes each, 50 sentences
 per entity, noise 0.3, seed 7) at training seed 11: one spawned process per
-variant, each with one BLAS thread. The values of the first run that passed
-their thresholds, for training seeds 11-13 and two BLAS kernels, are
-recorded in CHANGES.md in the entry "Tag scoring reads what pretraining
-learned". Everything else is exact or oracle-checked.
+variant, each with one BLAS thread. They pass by ``recipe.criteria``'s bars
+and rules, the ones ``tools/quality.py`` reports. The values of the first
+run that passed their thresholds, for training seeds 11-13 and two BLAS
+kernels, are recorded in CHANGES.md in the entry "Tag scoring reads what
+pretraining learned". Everything else is exact or oracle-checked.
 """
 
 import itertools
@@ -21,8 +22,7 @@ import recipe
 from conftest import (mixed_examples, oracle_ap, oracle_auc, oracle_ndcg,
                       oracle_precision, oracle_rr, record_criterion, render_example)
 from textent.encoder import ModelConfig, init_params
-from textent.evaluation import (EvalConfig, TfidfIndex, average_precision,
-                                evaluate_tag_scores, mrr, ndcg_at_k, precision_at_k,
+from textent.evaluation import (average_precision, mrr, ndcg_at_k, precision_at_k,
                                 recall_at_k, roc_auc)
 from textent.finetune import FinetuneConfig, run_finetune, tag_loss
 from textent.numerics import grad_check, value_and_grads
@@ -46,6 +46,17 @@ def jobs():
     """The recipe's seed-11 job per variant, each in its own spawned process."""
     results = recipe.run_jobs((v, recipe.TRAIN_SEED) for v in recipe.VARIANTS)
     return {variant: job for (variant, _), job in results.items()}
+
+
+@pytest.fixture(scope="module")
+def bars(world):
+    return recipe.world_bars(world)
+
+
+@pytest.fixture(scope="module")
+def report(jobs, bars):
+    """Criteria 4-6 of the seed-11 jobs, each check with its value, bar and margin."""
+    return recipe.criteria(jobs, bars)
 
 
 # -- criterion 1: gradient integrity ------------------------------------------------
@@ -213,65 +224,46 @@ def test_criterion_3_loss_identities(small_world, tiny_configs):
 # -- criterion 4: zero-shot retrieval -------------------------------------------------
 
 
-def test_criterion_4_zero_shot_retrieval(world, jobs):
-    base = sum(1.0 / r for r in range(1, world.spec.entities + 1)) / world.spec.entities
-    values = {variant: jobs[variant]["mrr"] for variant in ("dual", "hybrid")}
+def test_criterion_4_zero_shot_retrieval(jobs, bars, report):
+    result = report["criterion_4"]
+    mrr = {v: result["checks"][v]["value"] for v in recipe.RETRIEVAL}
     elapsed = sum(jobs[v]["seconds"]["pretrain"] + jobs[v]["seconds"]["zero_shot"]
-                  for v in ("dual", "hybrid"))
-    ok = (values["dual"] >= 10 * base and values["hybrid"] >= 10 * base
-          and values["hybrid"] >= values["dual"] - 0.02 and elapsed < 900)
-    record_criterion(ok, f"criterion 4: zero-shot MRR dual {values['dual']:.3f}, "
-                         f"hybrid {values['hybrid']:.3f} (floor {10 * base:.3f}, "
-                         f"hybrid >= dual-0.02; {elapsed:.0f}s < 900s)")
-    assert values["dual"] >= 10 * base
-    assert values["hybrid"] >= 10 * base
-    assert values["hybrid"] >= values["dual"] - 0.02
+                  for v in recipe.RETRIEVAL)
+    ok = result["pass"] and elapsed < 900
+    record_criterion(ok, f"criterion 4: zero-shot MRR dual {mrr['dual']:.3f}, "
+                         f"hybrid {mrr['hybrid']:.3f} (floor {bars['mrr_floor']:.3f}, "
+                         f"hybrid >= dual-{recipe.HYBRID_SLACK}; {elapsed:.0f}s < 900s)")
+    assert result["pass"], result["checks"]
     assert elapsed < 900
 
 
 # -- criterion 5: supervised tag prediction -------------------------------------------
 
 
-def test_criterion_5_supervised_tag_prediction(world, jobs):
-    (_, held_entities), _ = recipe.splits(world)
-    tags = world.votes.tags
-    index = TfidfIndex(world.corpus, world.vocab)
-    tfidf_scores = {e: index.tag_scores(e, tags) for e in held_entities}
-    rows = evaluate_tag_scores(tfidf_scores, world.votes, EvalConfig(precision_ks=(1,)),
-                               held_entities, tags)
-    tfidf_map = next(r["value"] for r in rows if r["metric"] == "map")
-
-    ok = True
-    parts = [f"tfidf MAP {tfidf_map:.3f}"]
-    for variant in ("dual", "hybrid", "full"):
-        auc = jobs[variant]["closed"]["auc"]
-        vmap = jobs[variant]["closed"]["map"]
-        ok = ok and auc >= 0.9 and vmap > tfidf_map
-        parts.append(f"{variant} AUC {auc:.3f} MAP {vmap:.3f}")
-    summary = ", ".join(parts)
-    record_criterion(ok, "criterion 5: supervised tags (" + summary
-                     + "; AUC >= 0.9 and MAP > tfidf)")
-    for variant in ("dual", "hybrid", "full"):
-        assert jobs[variant]["closed"]["auc"] >= 0.9, f"{variant} AUC: {summary}"
-        assert jobs[variant]["closed"]["map"] > tfidf_map, f"{variant} MAP: {summary}"
+def test_criterion_5_supervised_tag_prediction(jobs, bars, report):
+    result = report["criterion_5"]
+    summary = ", ".join(
+        [f"tfidf MAP {bars['tfidf_map']:.3f}"]
+        + [f"{v} AUC {jobs[v]['closed']['auc']:.3f} MAP {jobs[v]['closed']['map']:.3f}"
+           for v in recipe.VARIANTS])
+    record_criterion(result["pass"], f"criterion 5: supervised tags ({summary}; "
+                                     f"AUC >= {recipe.AUC_BAR} and MAP > tfidf)")
+    assert result["pass"], result["checks"]
 
 
 # -- criterion 6: open-vocabulary protocol --------------------------------------------
 
 
-def test_criterion_6_open_vocabulary(world, jobs):
+def test_criterion_6_open_vocabulary(world, jobs, report):
     _, (_, held_tags) = recipe.splits(world)
-    ok = True
-    parts = []
-    for variant in ("dual", "hybrid"):
+    for variant in recipe.RETRIEVAL:
         assert not set(jobs[variant]["open_tags"]) & set(held_tags)
-        open_auc = jobs[variant]["open"]["auc"]
-        closed_auc = jobs[variant]["closed"]["auc"]
-        ok = ok and open_auc >= closed_auc - 0.1
-        parts.append(f"{variant} open {open_auc:.3f} vs closed {closed_auc:.3f}")
-    record_criterion(ok, "criterion 6: open vocabulary (" + ", ".join(parts)
-                     + "; within 0.1)")
-    assert ok, parts
+    result = report["criterion_6"]
+    parts = [f"{v} open {jobs[v]['open']['auc']:.3f} vs closed {jobs[v]['closed']['auc']:.3f}"
+             for v in recipe.RETRIEVAL]
+    record_criterion(result["pass"], "criterion 6: open vocabulary (" + ", ".join(parts)
+                     + f"; within {recipe.OPEN_SLACK})")
+    assert result["pass"], result["checks"]
 
 
 # -- criterion 7: contract suite ------------------------------------------------------

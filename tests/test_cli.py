@@ -131,10 +131,29 @@ class TestExitCodes:
         assert f"{bad}:1: a string holds a lone surrogate escape" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--max-seq-len", "-3", "max_seq_len must be >= 1, got -3"),
+        ("--max-seq-len", "0", "max_seq_len must be >= 1, got 0"),
+        ("--min-words", "-1", "min_words must be >= 0, got -1"),
+        ("--min-reviews", "-1", "min_reviews must be >= 0, got -1"),
+        ("--min-freq", "-1", "min_freq must be >= 0, got -1"),
+    ])
+    def test_bad_preprocess_setting_is_data_error(self, tmp_path, capsys, flag, value,
+                                                  problem):
+        raw = tmp_path / "reviews.jsonl"
+        raw.write_text("".join(json.dumps({"entity_id": "m1", "text": f"a b c d e f {i}"})
+                               + "\n" for i in range(5)))
+        assert main(["preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "out"),
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags, problem", [
         (["--max-seq-len", "-1"], "max_seq_len must be >= 4, got -1"),
         (["--max-seq-len", "3"], "max_seq_len must be >= 4, got 3"),
         (["--ffn-hidden", "-3"], "ffn_hidden must be >= 1, got -3"),
+        (["--heads", "0"], "bad encoder dimensions"),
     ])
     def test_bad_pretrain_config_is_data_error(self, workdir, tmp_path, capsys, flags,
                                                problem):
@@ -291,6 +310,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{ckpt / 'manifest.json'}" in err and problem in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["retrieve", "--query", "x"],
+        ["evaluate", "--task", "retrieval", "--queries", "{data}/queries.jsonl"],
+        ["export", "--out", "{tmp}/embeddings.tsv"],
+    ], ids=["retrieve", "evaluate", "export"])
+    def test_manifest_with_zero_heads_is_data_error(self, workdir, tmp_path, capsys, args):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"]["heads"] = 0
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        args = [a.format(data=workdir / "data", tmp=tmp_path) for a in args]
+        assert main(args + ["--checkpoint", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert "bad encoder dimensions" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "embeddings.tsv").exists()
 
     def test_non_finite_tensor_is_data_error(self, workdir, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

@@ -16,12 +16,13 @@ def _run() -> list[str]:
 
 def test_prints_every_digest_and_repeats_itself():
     lines = _run()
-    names = [f"{stage}.{variant}.{what}" for variant in ("dual", "hybrid", "full")
-             for stage, what in (("pretrain", "params"), ("pretrain", "losses"),
-                                 ("finetune", "params"), ("finetune", "loss"),
-                                 ("finetune", "scores"), ("zero_shot", "rankings"))]
+    names = ["world"]
+    for variant in ("dual", "hybrid", "full"):
+        names += [f"pretrain.{variant}.{what}" for what in ("params", "losses")]
+        for stage in ("finetune", "open") if variant != "full" else ("finetune",):
+            names += [f"{stage}.{variant}.{what}" for what in ("params", "loss", "scores")]
+        names.append(f"zero_shot.{variant}.rankings")
     names.insert(names.index("zero_shot.dual.rankings") + 1, "bos.dual.matrix")
-    names.insert(0, "world")
     assert [line.split()[0] for line in lines] == names
     assert all(re.fullmatch(r"\S+  [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)

@@ -89,6 +89,7 @@ class TestVocabulary:
         ("extra\t7\tbogus", "kind 'bogus' is not one of"),
         ("movie\t7\tword", "duplicate token 'movie'"),
         ("e1\t7\tentity\nlate\t8\tword", "word token 'late' after the entity block"),
+        ("extra\t7\tspecial", "special token 'extra' after the reserved ids 0-4"),
     ])
     def test_bad_vocabulary_line_names_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "vocab.tsv"
@@ -98,6 +99,25 @@ class TestVocabulary:
         with pytest.raises(DataError, match=problem) as exc:
             Vocabulary.load(path)
         assert f"{path}:{8 + line.count(chr(10))}:" in str(exc.value)
+
+    @pytest.mark.parametrize("lines, problem", [
+        (["hello\t0\tword"], "1: id 0 must be special token '[PAD]', got word 'hello'"),
+        (["[PAD]\t0\tword"], "1: id 0 must be special token '[PAD]', got word '[PAD]'"),
+        (["[PAD]\t0\tspecial", "[SEP]\t1\tspecial"],
+         "2: id 1 must be special token '[CLS]', got special '[SEP]'"),
+        (["[PAD]\t0\tspecial", "e1\t1\tentity"],
+         "2: id 1 must be special token '[CLS]', got entity 'e1'"),
+        (["[PAD]\t0\tspecial", "[CLS]\t1\tspecial"],
+         " 2 tokens, fewer than the 5 special tokens"),
+        ([], " 0 tokens, fewer than the 5 special tokens"),
+    ], ids=["word-first", "pad-as-word", "specials-out-of-order", "entity-among-specials",
+            "two-specials", "empty"])
+    def test_vocabulary_opens_with_the_five_specials(self, tmp_path, lines, problem):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            Vocabulary.load(path)
+        assert str(exc.value) == f"{path}:{problem}"
 
 
 class TestEntityExtension:
@@ -179,6 +199,15 @@ class TestPreprocess:
               [_review("m1", "t", f"short but long enough review {i}") for i in range(4)]
         examples, _ = preprocess(raw, max_seq_len=16)
         assert max(len(ex.tokens) for ex in examples) == 16
+
+    @pytest.mark.parametrize("setting, value, least", [
+        ("max_seq_len", -3, 1), ("max_seq_len", 0, 1), ("min_words", -1, 0),
+        ("min_reviews", -1, 0), ("min_freq", -1, 0)])
+    def test_setting_out_of_range_is_data_error(self, setting, value, least):
+        raw = [_review("m1", "t", f"a perfectly fine long review number {i}")
+               for i in range(5)]
+        with pytest.raises(DataError, match=f"^{setting} must be >= {least}, got {value}$"):
+            preprocess(raw, **{setting: value})
 
     def test_idempotent_on_its_own_output(self):
         rng_texts = [f"alpha beta gamma delta epsilon {i} zeta" for i in range(6)]

@@ -5,7 +5,9 @@
 Runs, under the stdlib ``trace`` module with line counting (``runctx``,
 which also traces the threads the runs start, such as ``BosIndex``'s pool):
 
-  - ``digests.collect`` on the 12-entity world with 2 pretrain steps;
+  - ``recipe.run_job`` in-process for every variant on the 12-entity world,
+    with 2 pretrain steps and one fine-tuning epoch: what
+    ``tools/digests.py --tiny --steps 2`` digests;
   - a tiny-world pass of every subcommand of ``textent``: ``generate``,
     ``preprocess`` on a constructed review file, ``pretrain`` of each
     variant with ``--checkpoint-every`` (dual's flags come from
@@ -38,7 +40,7 @@ import tempfile
 import trace
 from pathlib import Path
 
-from recipe import SRC, TINY_WORLD, WORLD_SEED, world_spec
+from recipe import SRC, TINY_WORLD, TRAIN_SEED, VARIANTS, WORLD_SEED, run_job
 
 PACKAGE = SRC / "textent"
 
@@ -158,9 +160,8 @@ def cli_pass(root: Path) -> None:
 
 
 def _runs() -> None:
-    from digests import collect
-
-    collect(world_spec(True), 2)
+    for variant in VARIANTS:
+        run_job(variant, TRAIN_SEED, tiny=True, steps=2, epochs=1)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         cli_pass(Path(tmp))
 
