@@ -99,6 +99,12 @@ def _require(args, *flags: str) -> None:
             raise DataError(f"{run} needs --{flag.replace('_', '-')}")
 
 
+def _tfidf_index(args) -> evaluation.TfidfIndex:
+    _require(args, "corpus", "vocab")
+    return evaluation.TfidfIndex(text.read_corpus(args.corpus),
+                                 text.Vocabulary.load(args.vocab))
+
+
 def _at_least_one(args, flag: str) -> None:
     value = getattr(args, flag)
     if value < 1:
@@ -199,7 +205,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     params, vocab = _load_model(args)
-    votes = text.read_votes(args.votes)
+    votes = text.read_votes(args.votes, vocab.entity_ids)
     cfg = ft.FinetuneConfig(**_set_fields(ft.FinetuneConfig, args))
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
@@ -245,21 +251,22 @@ def cmd_evaluate(args) -> int:
         _require(args, "queries")
         queries = text.read_queries(args.queries)
         if args.baseline == "tfidf":
-            _require(args, "corpus", "vocab")
-            corpus = text.read_corpus(args.corpus)
-            vocab = text.Vocabulary.load(args.vocab)
-            index = evaluation.TfidfIndex(corpus, vocab)
-            ranked = [index.rank_query(q.text) for q in queries]
+            index = _tfidf_index(args)
+            known, rank = index.entity_ids, index.rank_query
         elif args.baseline == "bos":
             _require(args, "checkpoint", "corpus")
             params, vocab = _load_model(args)
-            corpus = text.read_corpus(args.corpus)
-            bos = evaluation.BosIndex(params, vocab, corpus)
-            ranked = [bos.rank_query(q.text, eval_cfg.bos_aggregation) for q in queries]
+            bos = evaluation.BosIndex(params, vocab, text.read_corpus(args.corpus))
+            known = bos.entity_ids
+            rank = lambda query: bos.rank_query(query, eval_cfg.bos_aggregation)
         else:
             _require(args, "checkpoint")
             params, vocab = _load_model(args)
-            ranked = [evaluation.zero_shot_rank(params, vocab, q.text) for q in queries]
+            known = vocab.entity_ids
+            rank = lambda query: evaluation.zero_shot_rank(params, vocab, query)
+        if not set(known).issuperset(e for q in queries for e in q.relevant):
+            text.read_queries(args.queries, known)  # raises, naming the line
+        ranked = [rank(q.text) for q in queries]
         rows = evaluation.evaluate_retrieval(ranked, queries, eval_cfg)
         if args.dump_dir:
             Path(args.dump_dir).mkdir(parents=True, exist_ok=True)
@@ -268,6 +275,16 @@ def cmd_evaluate(args) -> int:
     else:  # tags
         _require(args, "votes")
         votes = text.read_votes(args.votes)
+        known = votes.entity_ids()  # top tags scores any entity the votes name
+        if args.baseline == "tfidf":
+            index = _tfidf_index(args)
+            known = index.entity_ids
+        elif args.baseline != "toptags":
+            _require(args, "checkpoint")
+            params, vocab = _load_model(args)
+            known = vocab.entity_ids
+        if not set(known).issuperset(votes.entity_ids()):
+            text.read_votes(args.votes, known)  # raises, naming the line
         split_path = args.split
         if not split_path and args.checkpoint:
             split_path = Path(args.checkpoint) / "split.json"
@@ -283,18 +300,12 @@ def cmd_evaluate(args) -> int:
             entities, tags = ((entities, split[held]) if held == "held_tags"
                               else (split[held], tags))
         if args.baseline == "tfidf":
-            _require(args, "corpus", "vocab")
-            corpus = text.read_corpus(args.corpus)
-            vocab = text.Vocabulary.load(args.vocab)
-            index = evaluation.TfidfIndex(corpus, vocab)
             scores = {e: index.tag_scores(e, tags) for e in entities}
         elif args.baseline == "toptags":
             order = evaluation.top_tags_baseline(votes, split.get("train_entities"))
             rank_score = {t: float(len(order) - i) for i, t in enumerate(order)}
             scores = {e: {t: rank_score.get(t, 0.0) for t in tags} for e in entities}
         else:
-            _require(args, "checkpoint")
-            params, vocab = _load_model(args)
             scores = ft.score_tag_matrix(params, vocab, entities, tags)
         rows = evaluation.evaluate_tag_scores(scores, votes, eval_cfg, entities, tags)
     if args.out:

@@ -15,21 +15,20 @@ share it:
           input is the hidden state concatenated with the entity embedding
           (its projection is untied: the input width differs)
 
-Checkpoints are a JSON manifest (format version 3) next to one raw
-little-endian float file per named tensor; loading validates the manifest
-and every shape against the config. It still reads versions 1 and 2,
-dropping the tensors they carry that nothing reads (``_RETIRED``): version
-1 full checkpoints' classifier head, and the tied head that hybrid
-checkpoints carried before version 3. Saving is crash-safe: the tensors go
-into a fresh subdirectory and the new manifest replaces the old one in one
-rename, so a failed save leaves the previous checkpoint loadable.
+A checkpoint is one file, ``model.safetensors``, in the safetensors layout:
+an 8-byte little-endian header length, a UTF-8 JSON header holding the
+config under ``__metadata__`` and each tensor's dtype (``F32`` or ``F64``),
+shape and ``data_offsets``, then the raw little-endian data packed in name
+order. Loading checks the header against the config. Saving writes a
+temporary file, fsyncs it and renames it into place, so a failed save leaves
+the previous checkpoint loadable. Older checkpoints (a ``manifest.json`` and
+one file per tensor) are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import Tensor
 from .errors import DataError, NumericError
-from .text import CLS, PAD, SEP, Vocabulary, _row_problem, read_json_object
+from .text import CLS, PAD, SEP, Vocabulary, _row_problem, parse_json_object
 
 VARIANTS = ("dual", "full", "hybrid")
 
@@ -401,125 +400,120 @@ def mlm_logits(hidden_states: np.ndarray, positions: Sequence[int],
 # -- checkpoints ------------------------------------------------------------------
 
 
-_MANIFEST = "manifest.json"
+_FILE = "model.safetensors"
 _FORMAT = "textent-checkpoint"
-_VERSION = 3
-_DTYPES = ("<f4", "<f8")
-# Tensors that a variant's checkpoints carry before a format version and
-# nothing reads: version 1 full's classifier head, and the tied head that
-# hybrid held until version 3. Loading drops them from older checkpoints.
-_RETIRED = {"full": (2, ("cls_w", "cls_b")), "hybrid": (3, _TIED_HEAD)}
-# The two tensor subdirectories a save alternates between: it writes the one
-# the current manifest does not use.
-_TENSOR_DIRS = ("tensors", "tensors.1")
+_VERSION = "4"
+_DTYPES = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 
 
 def save_checkpoint(params: ModelParams, directory: str | Path) -> None:
-    """Write ``params`` to ``directory``; a save that fails part-way leaves
-    the checkpoint that was there loadable and unchanged.
+    """Write ``params`` to ``directory/model.safetensors`` in the layout the
+    module docstring gives; a save that fails part-way leaves the checkpoint
+    that was there loadable and unchanged.
 
-    The tensors go into whichever of ``_TENSOR_DIRS`` the current manifest
-    does not use, the new manifest replaces the old one with ``os.replace``,
-    and the old tensor directory is removed last. Nothing else in
+    The file is written to ``model.safetensors.tmp``, flushed to disk with
+    ``os.fsync``, moved into place with ``os.replace``, and the directory is
+    fsynced so that the rename survives a crash. Nothing else in
     ``directory`` is touched.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    try:
-        live = {top for meta in _read_manifest(directory)["tensors"].values()
-                for top in Path(meta["file"]).parts[:1]}
-    except DataError:
-        live = set()  # no loadable checkpoint to keep
-    subdir = _TENSOR_DIRS[1] if _TENSOR_DIRS[0] in live else _TENSOR_DIRS[0]
-    shutil.rmtree(directory / subdir, ignore_errors=True)  # a failed save's leftovers
-    (directory / subdir).mkdir()
-    dtype = next(iter(params.tensors.values())).dtype
-    code = "<f8" if dtype == np.float64 else "<f4"
-    manifest = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "config": asdict(params.config),
-        "dtype": code,
-        "tensors": {},
-    }
+    code = "F64" if next(iter(params.tensors.values())).dtype == np.float64 else "F32"
+    header = {"__metadata__": {"format": _FORMAT, "version": _VERSION,
+                               "config": json.dumps(asdict(params.config))}}
+    blobs, offset = [], 0
     for name, arr in sorted(params.tensors.items()):
-        fname = f"{subdir}/{name}.bin"
-        arr.astype(code).tofile(directory / fname)
-        manifest["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
-    staged = directory / f"{_MANIFEST}.tmp"
-    with open(staged, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-    os.replace(staged, directory / _MANIFEST)
-    for old in _TENSOR_DIRS:
-        if old != subdir:
-            shutil.rmtree(directory / old, ignore_errors=True)
-
-
-def _read_manifest(directory: Path) -> dict:
-    """The checkpoint's manifest; DataError naming it for anything malformed."""
-    path = directory / _MANIFEST
+        blobs.append(np.asarray(arr, _DTYPES[code]).tobytes())
+        header[name] = {"dtype": code, "shape": list(arr.shape),
+                        "data_offsets": [offset, offset + len(blobs[-1])]}
+        offset += len(blobs[-1])
+    head = json.dumps(header).encode("utf-8")
+    head += b" " * (-len(head) % 8)  # the data starts 8-byte aligned
+    staged = directory / f"{_FILE}.tmp"
+    with open(staged, "wb") as fh:
+        fh.write(b"".join([len(head).to_bytes(8, "little"), head, *blobs]))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(staged, directory / _FILE)
+    fd = os.open(directory, os.O_RDONLY)
     try:
-        manifest = read_json_object(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"no checkpoint manifest in {directory}") from exc
-    problem = _row_problem(manifest, format=str, version=int, config=dict, dtype=str,
-                           tensors=dict)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _read_config(path: Path, meta) -> ModelConfig:
+    """The ``ModelConfig`` in a checkpoint header's ``__metadata__``."""
+    problem = _row_problem(meta, format=str, version=str, config=str)
     if problem:
-        raise DataError(f"{path}: {problem}")
-    if manifest["format"] != _FORMAT:
-        raise DataError(f"{path}: format {manifest['format']!r} is not {_FORMAT!r}")
-    if not 1 <= manifest["version"] <= _VERSION:
-        raise DataError(f"{path}: unsupported version {manifest['version']}")
-    if manifest["dtype"] not in _DTYPES:
-        raise DataError(f"{path}: dtype {manifest['dtype']!r} is not one of {_DTYPES}")
-    root = directory.resolve()
-    for name, meta in manifest["tensors"].items():
-        problem = _row_problem(meta, file=str, shape=list[int])
-        if problem:
-            raise DataError(f"{path}: tensor {name!r}: {problem}")
-        if "\0" in meta["file"]:  # no path can hold one
-            raise DataError(f"{path}: tensor {name!r} file holds a NUL character")
-        if (Path(meta["file"]).is_absolute()
-                or not (root / meta["file"]).resolve().is_relative_to(root)):
-            raise DataError(f"{path}: tensor {name!r} file {meta['file']!r} is "
-                            f"outside the checkpoint directory")
-    defaults, config = asdict(ModelConfig()), manifest["config"]
+        raise DataError(f"{path}: __metadata__ {problem}")
+    if meta["format"] != _FORMAT:
+        raise DataError(f"{path}: format {meta['format']!r} is not {_FORMAT!r}")
+    if meta["version"] != _VERSION:
+        raise DataError(f"{path}: unsupported version {meta['version']!r}")
+    defaults = asdict(ModelConfig())
+    config = parse_json_object(meta["config"].encode("utf-8"), f"{path}: config")
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise DataError(f"{path}: unknown config keys {unknown}")
     problem = _row_problem(config, **{key: type(defaults[key]) for key in config})
     if problem:
         raise DataError(f"{path}: config {problem}")
-    return manifest
+    config = ModelConfig(**config)
+    config.validate()
+    return config
 
 
 def load_checkpoint(directory: str | Path) -> ModelParams:
-    """Load a checkpoint of any version; older ones lose their ``_RETIRED`` tensors."""
-    directory = Path(directory)
-    manifest = _read_manifest(directory)
-    config = ModelConfig(**manifest["config"])
-    config.validate()
-    code = manifest["dtype"]
+    """Load what ``save_checkpoint`` wrote.
+
+    The header must name exactly the tensors ``expected_shapes`` gives the
+    config, with their shapes and one dtype, and their ``data_offsets``
+    must tile the data bytes in name order; every value must be finite. Anything
+    else, a format-3 checkpoint (``manifest.json``) among it, is a
+    ``DataError`` naming the file.
+    """
+    path = Path(directory) / _FILE
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError as exc:
+        if (path.parent / "manifest.json").exists():
+            raise DataError(f"{path.parent} holds a format-3 checkpoint "
+                            f"(manifest.json), which this version does not read") from exc
+        raise DataError(f"no checkpoint {_FILE} in {path.parent}") from exc
+    size = int.from_bytes(raw[:8], "little")
+    if len(raw) < 8 or size > len(raw) - 8:
+        raise DataError(f"{path}: {len(raw)} bytes hold no header of {size} bytes")
+    header = parse_json_object(raw[8:8 + size], path)
+    config = _read_config(path, header.pop("__metadata__", None))
     shapes = expected_shapes(config)
-    retired_from, retired = _RETIRED.get(config.variant, (1, ()))
-    entries = {name: meta for name, meta in manifest["tensors"].items()
-               if manifest["version"] >= retired_from or name not in retired}
-    if set(entries) != set(shapes):
-        missing = sorted(set(shapes) - set(entries))
-        extra = sorted(set(entries) - set(shapes))
-        raise DataError(f"checkpoint tensors do not match config "
+    if set(header) != set(shapes):
+        missing = sorted(set(shapes) - set(header))
+        extra = sorted(set(header) - set(shapes))
+        raise DataError(f"{path}: tensors do not match config "
                         f"(missing {missing}, unexpected {extra})")
-    tensors = {}
-    for name, meta in entries.items():
-        shape = tuple(meta["shape"])
-        if shape != shapes[name]:
-            raise DataError(f"tensor '{name}' has shape {shape}, expected {shapes[name]}")
-        data = np.fromfile(directory / meta["file"], dtype=code)
-        if data.size != int(np.prod(shape)):
-            raise DataError(f"tensor '{name}' file has {data.size} values, "
-                            f"expected {int(np.prod(shape))}")
-        if not np.isfinite(data).all():
-            raise DataError(f"tensor '{name}' holds non-finite values")
-        native = np.float64 if code == "<f8" else np.float32
-        tensors[name] = data.reshape(shapes[name]).astype(native)
+    data, tensors, code, end = memoryview(raw)[8 + size:], {}, None, 0
+    for name in sorted(header):  # packed in name order, as save_checkpoint writes
+        entry = header[name]
+        problem = _row_problem(entry, dtype=str, shape=list[int], data_offsets=list[int])
+        if problem:
+            raise DataError(f"{path}: tensor {name!r}: {problem}")
+        code = code or entry["dtype"]
+        if entry["dtype"] != code or code not in _DTYPES:
+            raise DataError(f"{path}: tensor {name!r} has dtype {entry['dtype']!r}; every "
+                            f"tensor needs the same one of {sorted(_DTYPES)}")
+        if tuple(entry["shape"]) != shapes[name]:
+            raise DataError(f"{path}: tensor {name!r} has shape {tuple(entry['shape'])}, "
+                            f"expected {shapes[name]}")
+        span = [end, end + int(np.prod(shapes[name])) * _DTYPES[code].itemsize]
+        if entry["data_offsets"] != span or span[1] > len(data):
+            raise DataError(f"{path}: tensor {name!r} data_offsets {entry['data_offsets']} "
+                            f"are not {span} of {len(data)} data bytes")
+        values = np.frombuffer(data[span[0]:span[1]], _DTYPES[code])
+        if not np.isfinite(values).all():
+            raise DataError(f"{path}: tensor {name!r} holds non-finite values")
+        tensors[name] = values.reshape(shapes[name]).astype(_DTYPES[code].type)
+        end = span[1]
+    if end != len(data):
+        raise DataError(f"{path}: {len(data) - end} data bytes follow the last tensor")
     return ModelParams(config, tensors)

@@ -279,16 +279,9 @@ class TfidfIndex:
         self.weights = sparse.csr_matrix((weights, cols, indptr), shape=(n_docs, size))
         self.norms = np.sqrt(np.bincount(docs, weights=weights ** 2, minlength=n_docs))
 
-    def _weights_of(self, entity_id: str) -> np.ndarray:
-        """Dense tf-idf row of one entity; zeros for an entity with no text."""
-        row = self.row_of.get(entity_id)
-        if row is None:
-            return np.zeros(len(self.idf))
-        return self.weights[row].toarray()[0]
-
     def tag_scores(self, entity_id: str, tags: Sequence[str]) -> dict[str, float]:
         """Per tag, the sum of tf-idf over its tokens; 0 for unseen tags."""
-        weights = self._weights_of(entity_id)
+        weights = self.weights[self.row_of[entity_id]].toarray()[0]
         return {tag: sum(float(weights[t]) for t in tokenize(tag, self.vocab))
                 for tag in tags}
 

@@ -377,16 +377,20 @@ def _numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
 
 def read_json_object(path: str | Path) -> dict:
     """The JSON object a UTF-8 file holds; a ``DataError`` naming ``path`` if not."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            value = json.load(fh)
-            _encode(value).encode("utf-8")  # fails on a lone surrogate escape
-        except UnicodeEncodeError as exc:
-            raise DataError(f"{path}: a string holds a lone surrogate escape") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    return parse_json_object(Path(path).read_bytes(), path)
+
+
+def parse_json_object(data: bytes, source: str | Path) -> dict:
+    """The JSON object UTF-8 ``data`` holds; a ``DataError`` naming ``source`` if not."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+        _encode(value).encode("utf-8")  # fails on a lone surrogate escape
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{source}: a string holds a lone surrogate escape") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DataError(f"{source} is not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
-        raise DataError(f"{path} is not a JSON object")
+        raise DataError(f"{source} is not a JSON object")
     return value
 
 
@@ -455,13 +459,23 @@ def _row_problem(row, **kinds) -> str | None:
     return None
 
 
-def read_votes(path: str | Path) -> TagVotes:
-    """Vote rows; each needs string entity_id and tag and integer votes >= 1."""
+def _unknown_entity(key: str, names: list[str], known: set[str]) -> str | None:
+    """The problem with the first of ``key``'s ``names`` that is not in ``known``."""
+    missing = next((name for name in names if name not in known), None)
+    return None if missing is None else f"{key!r} names {missing!r}, which is not an entity"
+
+
+def read_votes(path: str | Path, entities: Iterable[str] | None = None) -> TagVotes:
+    """Vote rows; each needs string entity_id and tag and integer votes >= 1,
+    and an entity_id among ``entities`` when they are given."""
+    known = None if entities is None else set(entities)
     votes = TagVotes()
     for line_no, row in _numbered_jsonl(path):
         problem = _row_problem(row, entity_id=str, tag=str, votes=int)
         if problem is None and row["votes"] < 1:
             problem = f"vote count must be >= 1, got {row['votes']}"
+        if problem is None and known is not None:
+            problem = _unknown_entity("entity_id", [row["entity_id"]], known)
         if problem:
             raise DataError(f"{path}:{line_no}: {problem}")
         votes.add(row["entity_id"], row["tag"], row["votes"])
@@ -472,12 +486,16 @@ def write_queries(path: str | Path, queries: Iterable[Query]) -> None:
     write_jsonl(path, ({"query": q.text, "relevant_entity_ids": q.relevant} for q in queries))
 
 
-def read_queries(path: str | Path) -> list[Query]:
+def read_queries(path: str | Path, entities: Iterable[str] | None = None) -> list[Query]:
     """Query rows; each needs a string query and a list of string
-    relevant_entity_ids."""
+    relevant_entity_ids, each among ``entities`` when they are given."""
+    known = None if entities is None else set(entities)
     queries = []
     for line_no, row in _numbered_jsonl(path):
         problem = _row_problem(row, query=str, relevant_entity_ids=list[str])
+        if problem is None and known is not None:
+            problem = _unknown_entity("relevant_entity_ids", row["relevant_entity_ids"],
+                                      known)
         if problem:
             raise DataError(f"{path}:{line_no}: {problem}")
         queries.append(Query(row["query"], list(row["relevant_entity_ids"])))

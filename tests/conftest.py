@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 from pathlib import Path
@@ -57,6 +58,22 @@ def mixed_examples(world, count, offset=0):
     per_entity = world.spec.sentences_per_entity
     return [world.corpus[(i * per_entity + i + offset) % len(world.corpus)]
             for i in range(count)]
+
+
+def read_checkpoint_file(directory):
+    """The JSON header and the data bytes of ``directory/model.safetensors``,
+    split without textent's reader so that a test can edit either."""
+    raw = (Path(directory) / "model.safetensors").read_bytes()
+    size = int.from_bytes(raw[:8], "little")
+    return json.loads(raw[8:8 + size]), raw[8 + size:]
+
+
+def write_checkpoint_file(directory, header, data: bytes) -> None:
+    """``directory/model.safetensors`` holding ``header`` (a JSON value, or
+    the raw bytes of one) and ``data``."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode()
+    (Path(directory) / "model.safetensors").write_bytes(
+        len(head).to_bytes(8, "little") + head + data)
 
 
 @pytest.fixture()

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from textent import evaluation, finetune, objectives, synthetic
 from textent.cli import build_parser, main
-from textent.encoder import ModelConfig, entity_matrix, load_checkpoint
+from textent.encoder import ModelConfig, entity_matrix, load_checkpoint, save_checkpoint
 from textent.evaluation import bos_rank
 from textent.text import (Vocabulary, extend_with_entities, read_corpus, read_queries,
                           read_votes)
+
+from conftest import read_checkpoint_file, write_checkpoint_file
 
 GEN_ARGS = ["--entities", "10", "--attribute-vocab", "30",
             "--attributes-per-entity", "4", "--sentences-per-entity", "8",
@@ -39,6 +41,43 @@ def _pretrain(data, out, steps, seed="3", variant="dual"):
                  "--vocab", str(data / "vocab.tsv"), "--variant", variant,
                  "--seed", seed, "--steps", str(steps), "--out-dir", str(out)]
                 + TRAIN_ARGS) == 0
+
+
+_DELETE = object()
+
+
+def _meta(**changes):
+    """A header edit that sets ``__metadata__`` fields."""
+    return lambda h: {**h, "__metadata__": {**h["__metadata__"], **changes}}
+
+
+def _config(**changes):
+    """A header edit that sets fields of the config ``__metadata__`` holds."""
+    return lambda h: _meta(config=json.dumps(
+        {**json.loads(h["__metadata__"]["config"]), **changes}))(h)
+
+
+def _tensor(name, **changes):
+    """A header edit that sets (or, with ``_DELETE``, drops) one tensor's fields."""
+    return lambda h: {**h, name: {k: v for k, v in {**h[name], **changes}.items()
+                                  if v is not _DELETE}}
+
+
+def _every_tensor(**changes):
+    return lambda h: {k: v if k == "__metadata__" else {**v, **changes}
+                      for k, v in h.items()}
+
+
+def _edited_checkpoint(workdir, tmp_path, edit, *names):
+    """A copy of the shared checkpoint with ``edit`` applied in place to
+    each named tensor; returns its directory."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workdir / "ckpt", ckpt)
+    params = load_checkpoint(ckpt)
+    for name in names:
+        edit(params.tensors[name])
+    save_checkpoint(params, ckpt)
+    return ckpt
 
 
 @pytest.fixture(scope="module")
@@ -247,81 +286,83 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    def test_manifest_without_config_is_data_error(self, workdir, tmp_path, capsys):
+    def test_header_without_config_is_data_error(self, workdir, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workdir / "ckpt", ckpt)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        del manifest["config"]
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        header, data = read_checkpoint_file(ckpt)
+        del header["__metadata__"]["config"]
+        write_checkpoint_file(ckpt, header, data)
         assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
         err = capsys.readouterr().err
-        assert "manifest.json: 'config' is missing" in err and "Traceback" not in err
+        assert "model.safetensors: __metadata__ 'config' is missing" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage, problem", [
-        (lambda m: "{not json", "is not valid JSON"),
-        (lambda m: '{"format": "caf\udce9"}', "is not valid JSON"),
-        (lambda m: "[" * 100_000, "is not valid JSON"),
-        (lambda m: {**m, "config": {**m["config"], "dropout": 0.1}},
-         "unknown config keys ['dropout']"),
-        (lambda m: {**m, "config": {**m["config"], "hidden": "16"}},
-         "config 'hidden' is '16', not int"),
-        (lambda m: {**m, "dtype": ">f4"}, "dtype '>f4'"),
-        (lambda m: {**m, "dtype": "<i4"}, "dtype '<i4'"),
-        (lambda m: {**m, "version": 99}, "unsupported version 99"),
-        (lambda m: {**m, "format": "nope"}, "format 'nope'"),
-        (lambda m: {**m, "tensors": list(m["tensors"])}, "'tensors' is ['"),
-        (lambda m: {**m, "version": "3"}, "'version' is '3', not int"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
-            "file": "tensors/entity_table.bin"}}},
-         "tensor 'entity_table': 'shape' is missing"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": [
-            "tensors/entity_table.bin", [10, 16]]}},
+        (lambda h: b"{not json", "is not valid JSON"),
+        (lambda h: b'{"format": "caf\xe9"}', "is not valid JSON"),
+        (lambda h: b"[" * 100_000, "is not valid JSON"),
+        (lambda h: [h], "is not a JSON object"),
+        (lambda h: {k: v for k, v in h.items() if k != "__metadata__"},
+         "__metadata__ not a JSON object"),
+        (_config(dropout=0.1), "unknown config keys ['dropout']"),
+        (_config(hidden="16"), "config 'hidden' is '16', not int"),
+        (_meta(config="{"), "config is not valid JSON"),
+        (_meta(config="[]"), "config is not a JSON object"),
+        (_every_tensor(dtype=">f4"), "dtype '>f4'"),
+        (_every_tensor(dtype="I32"), "dtype 'I32'"),
+        (_tensor("seg_emb", dtype="F64"), "tensor 'seg_emb' has dtype 'F64'"),
+        (_meta(version="99"), "unsupported version '99'"),
+        (_meta(version=4), "'version' is 4, not str"),
+        (_meta(format="nope"), "format 'nope'"),
+        (_tensor("entity_table", shape=_DELETE), "tensor 'entity_table': 'shape' is missing"),
+        (lambda h: {**h, "entity_table": ["F32", [10, 16]]},
          "tensor 'entity_table': not a JSON object"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
-            "file": "tensors/entity_table.bin", "shape": "10x16"}}},
+        (_tensor("entity_table", shape="10x16"),
          "tensor 'entity_table': 'shape' is '10x16', not list"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "entity_table": {
-            "file": "tensors/entity_table.bin", "shape": [10.0, 16]}}},
+        (_tensor("entity_table", shape=[10.0, 16]),
          "tensor 'entity_table': 'shape' holds 10.0, not int"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
-            **m["tensors"]["seg_emb"], "file": "\ud800"}}},
-         "a string holds a lone surrogate escape"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
-            **m["tensors"]["seg_emb"], "file": "../other/tensors/seg_emb.bin"}}},
-         "tensor 'seg_emb' file '../other/tensors/seg_emb.bin' is outside"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "seg_emb": {
-            **m["tensors"]["seg_emb"], "file": str(Path(__file__).resolve())}}},
-         "tensor 'seg_emb' file"),
-    ], ids=["not-json", "not-utf8", "deep-nesting", "unknown-config-key", "config-value-type", "big-endian-dtype", "int-dtype",
-            "unknown-version", "unknown-format", "tensors-list", "version-not-int",
-            "tensor-without-shape", "tensor-as-list", "shape-not-list", "shape-float",
-            "file-lone-surrogate", "file-outside", "file-absolute"])
-    def test_bad_manifest_is_data_error(self, workdir, tmp_path, capsys, damage,
-                                        problem):
+        (_tensor("seg_emb", dtype="\ud800"), "a string holds a lone surrogate escape"),
+        (_tensor("seg_emb", data_offsets=[0, 4]), "tensor 'seg_emb' data_offsets [0, 4]"),
+        (_tensor("token_emb", data_offsets=[0, 10 ** 9]), "tensor 'token_emb' data_offsets"),
+    ], ids=["not-json", "not-utf8", "deep-nesting", "not-object", "no-metadata",
+            "unknown-config-key", "config-value-type", "config-not-json",
+            "config-not-object", "big-endian-dtype", "int-dtype", "mixed-dtype",
+            "unknown-version", "version-not-str", "unknown-format", "tensor-without-shape",
+            "tensor-as-list", "shape-not-list", "shape-float", "lone-surrogate",
+            "offsets-overlap", "offsets-past-end"])
+    def test_bad_header_is_data_error(self, workdir, tmp_path, capsys, damage, problem):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workdir / "ckpt", ckpt)
-        shutil.copytree(workdir / "ckpt", tmp_path / "other")  # a readable escape
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        damaged = damage(manifest)
-        (ckpt / "manifest.json").write_text(  # a surrogate writes one raw byte
-            damaged if isinstance(damaged, str) else json.dumps(damaged),
-            errors="surrogateescape")
+        header, data = read_checkpoint_file(ckpt)
+        write_checkpoint_file(ckpt, damage(header), data)
         assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
         err = capsys.readouterr().err
-        assert f"{ckpt / 'manifest.json'}" in err and problem in err
+        assert f"{ckpt / 'model.safetensors'}" in err and problem in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("keep, problem", [
+        (0, "0 bytes hold no header"), (7, "7 bytes hold no header"),
+        (40, "40 bytes hold no header"), (-1, "data_offsets"),
+    ], ids=["empty", "inside-length", "inside-header", "inside-data"])
+    def test_truncated_file_is_data_error(self, workdir, tmp_path, capsys, keep, problem):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workdir / "ckpt", ckpt)
+        path = ckpt / "model.safetensors"
+        path.write_bytes(path.read_bytes()[:keep])
+        assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and problem in err and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ["retrieve", "--query", "x"],
         ["evaluate", "--task", "retrieval", "--queries", "{data}/queries.jsonl"],
         ["export", "--out", "{tmp}/embeddings.tsv"],
     ], ids=["retrieve", "evaluate", "export"])
-    def test_manifest_with_zero_heads_is_data_error(self, workdir, tmp_path, capsys, args):
+    def test_header_with_zero_heads_is_data_error(self, workdir, tmp_path, capsys, args):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workdir / "ckpt", ckpt)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["config"]["heads"] = 0
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        header, data = read_checkpoint_file(ckpt)
+        write_checkpoint_file(ckpt, _config(heads=0)(header), data)
         args = [a.format(data=workdir / "data", tmp=tmp_path) for a in args]
         assert main(args + ["--checkpoint", str(ckpt)]) == 2
         captured = capsys.readouterr()
@@ -329,25 +370,38 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "embeddings.tsv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["retrieve", "--query", "x"],
+        ["evaluate", "--task", "retrieval", "--queries", "{data}/queries.jsonl"],
+        ["finetune", "--votes", "{data}/votes.jsonl", "--seed", "1", "--out-dir", "{tmp}/out"],
+        ["export", "--out", "{tmp}/out"],
+    ], ids=["retrieve", "evaluate", "finetune", "export"])
+    def test_format_3_checkpoint_is_data_error(self, workdir, tmp_path, capsys, args):
+        """A checkpoint as format 3 wrote it, a manifest and one file per
+        tensor, is refused by name."""
+        ckpt = tmp_path / "old"
+        (ckpt / "tensors").mkdir(parents=True)
+        (ckpt / "manifest.json").write_text('{"format": "textent-checkpoint", "version": 3}')
+        shutil.copy(workdir / "ckpt" / "vocab.tsv", ckpt)
+        args = [a.format(data=workdir / "data", tmp=tmp_path) for a in args]
+        assert main(args + ["--checkpoint", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert f"{ckpt} holds a format-3 checkpoint (manifest.json), which this " \
+               f"version does not read" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_tensor_is_data_error(self, workdir, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        shutil.copytree(workdir / "ckpt", ckpt)
-        path = ckpt / "tensors" / "layer0.ffn_w1.bin"
-        values = np.fromfile(path, dtype="<f4")
-        values[5] = np.nan
-        values.tofile(path)
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda t: t.flat.__setitem__(5, np.nan),
+                                  "layer0.ffn_w1")
         assert main(["retrieve", "--checkpoint", str(ckpt), "--query", "x"]) == 2
         err = capsys.readouterr().err
         assert "tensor 'layer0.ffn_w1' holds non-finite values" in err
         assert "Traceback" not in err
 
     def test_zero_norm_entity_is_numeric_error(self, workdir, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        shutil.copytree(workdir / "ckpt", ckpt)
-        path = ckpt / "tensors" / "entity_table.bin"
-        table = np.fromfile(path, dtype="<f4").reshape(10, 16)
-        table[3] = 0.0
-        table.tofile(path)
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda t: t.__setitem__(3, 0.0),
+                                  "entity_table")
         query = read_queries(workdir / "data" / "queries.jsonl")[0].text
         assert main(["retrieve", "--checkpoint", str(ckpt), "--query", query]) == 2
         captured = capsys.readouterr()
@@ -355,10 +409,8 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_bos_zero_norm_sentence_is_numeric_error(self, workdir, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        shutil.copytree(workdir / "ckpt", ckpt)
-        for name in ("layer0.ffn_ln_g", "layer0.ffn_ln_b"):  # every state becomes 0
-            np.zeros(16, dtype="<f4").tofile(ckpt / "tensors" / f"{name}.bin")
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda t: t.fill(0.0),  # every state is 0
+                                  "layer0.ffn_ln_g", "layer0.ffn_ln_b")
         data = workdir / "data"
         assert main(["evaluate", "--task", "retrieval", "--baseline", "bos",
                      "--checkpoint", str(ckpt), "--corpus", str(data / "corpus.jsonl"),
@@ -628,7 +680,6 @@ _JSON = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
 _SPLIT_KEYS = ("protocol", "train_entities", "held_entities", "train_tags", "held_tags")
-_DELETE = object()
 
 
 class TestAnySplitFile:
@@ -660,46 +711,60 @@ class TestAnySplitFile:
 
 
 _TENSORS = st.sampled_from(["entity_table", "layer0.ffn_w1", "seg_emb", "token_emb"])
-_MANIFEST_EDIT = st.tuples(
-    st.one_of(st.sampled_from(["format", "version", "config", "dtype", "tensors", "extra"])
-              .map(lambda k: (k,)),
+_HEADER_EDIT = st.tuples(
+    st.one_of(st.sampled_from(["__metadata__", "extra"]).map(lambda k: (k,)),
+              st.sampled_from(["format", "version", "config", "extra"])
+              .map(lambda k: ("__metadata__", k)),
               st.sampled_from([f.name for f in fields(ModelConfig)] + ["extra"])
               .map(lambda k: ("config", k)),
-              _TENSORS.map(lambda t: ("tensors", t)),
-              st.tuples(st.just("tensors"), _TENSORS, st.sampled_from(["file", "shape"]))),
+              _TENSORS.map(lambda t: (t,)),
+              st.tuples(_TENSORS, st.sampled_from(["dtype", "shape", "data_offsets"]))),
     st.one_of(_JSON, st.just(_DELETE), st.integers(-2, 70),
               st.lists(st.integers(-1, 70), max_size=3),
-              st.sampled_from(["<f4", "<f8", ">f4", "textent-checkpoint", "dual", "full",
-                               "tensors/seg_emb.bin", "../ckpt/tensors/seg_emb.bin", ".",
-                               "tensors", "a\0b", "/etc/hostname"])))
+              st.lists(st.integers(0, 9000), min_size=2, max_size=2),
+              st.sampled_from(["F32", "F64", "I32", "<f4", "4", "3", "textent-checkpoint",
+                               "dual", "full", "{}", "[]", ""])))
 
 
-class TestAnyManifest:
-    """Whatever edits a checkpoint's manifest takes, or whatever JSON value
-    replaces it, ``retrieve`` and ``export`` exit 0 or 2 with no traceback."""
+def _edit(parent, path, value):
+    """Set (or drop) ``parent[path]``, where every key on the way is a dict."""
+    for key in path[:-1]:
+        parent = parent.get(key) if isinstance(parent, dict) else None
+    if isinstance(parent, dict) and value is _DELETE:
+        parent.pop(path[-1], None)
+    elif isinstance(parent, dict):
+        parent[path[-1]] = value
+
+
+class TestAnyCheckpointFile:
+    """Whatever edits a checkpoint's header takes, whatever JSON value
+    replaces it, wherever the file is cut and whatever bytes replace it,
+    ``retrieve`` and ``export`` exit 0 or 2 with no traceback."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @example(edits=[(("tensors", "seg_emb", "file"), "a\0b")], whole=None,
-             command="retrieve")
-    @given(edits=st.lists(_MANIFEST_EDIT, max_size=3), whole=st.none() | _JSON,
-           command=st.sampled_from(["retrieve", "export"]))
-    def test_exits_0_or_2_without_a_traceback(self, workdir, tmp_path, edits, whole,
-                                              command):
+    @given(data=st.data(), command=st.sampled_from(["retrieve", "export"]))
+    def test_exits_0_or_2_without_a_traceback(self, workdir, tmp_path, data, command):
         ckpt = tmp_path / "ckpt"
         if not ckpt.exists():
             shutil.copytree(workdir / "ckpt", ckpt)
-        manifest = json.loads((workdir / "ckpt" / "manifest.json").read_text())
-        for path, value in edits:
-            parent = manifest
-            for key in path[:-1]:
-                parent = parent.get(key) if isinstance(parent, dict) else None
-            if isinstance(parent, dict) and value is _DELETE:
-                parent.pop(path[-1], None)
-            elif isinstance(parent, dict):
-                parent[path[-1]] = value
-        (ckpt / "manifest.json").write_text(json.dumps(manifest if edits or whole is None
-                                                       else whole))
+        header, tensors = read_checkpoint_file(workdir / "ckpt")
+        for path, value in data.draw(st.lists(_HEADER_EDIT, max_size=3)):
+            if path[0] != "config":
+                _edit(header, path, value)
+                continue
+            with contextlib.suppress(KeyError, TypeError, ValueError):
+                config = json.loads(header["__metadata__"]["config"])
+                _edit(config, path[1:], value)
+                header["__metadata__"]["config"] = json.dumps(config)
+        kind = data.draw(st.sampled_from(["edited", "edited", "json", "cut", "bytes"]))
+        head = json.dumps(data.draw(_JSON) if kind == "json" else header).encode()
+        raw = len(head).to_bytes(8, "little") + head + tensors
+        if kind == "cut":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "bytes":
+            raw = data.draw(st.binary(max_size=48))
+        (ckpt / "model.safetensors").write_bytes(raw)
         run = {"retrieve": ["retrieve", "--query", "x"],
                "export": ["export", "--out", str(tmp_path / "emb.tsv")]}[command]
         code, err = _run_quietly([*run, "--checkpoint", str(ckpt)])
@@ -725,6 +790,47 @@ class TestEvaluateInputs:
         assert main(["evaluate", "--task", "retrieval"] + extra) == 2
         err = capsys.readouterr().err
         assert f"needs {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("baseline", ["zero-shot", "tfidf", "bos"])
+    def test_query_naming_no_entity_is_data_error(self, workdir, tmp_path, capsys,
+                                                  baseline):
+        data = workdir / "data"
+        lines = (data / "queries.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "relevant_entity_ids": ["nope"]})
+        path = tmp_path / "queries.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        run = {"zero-shot": ["--checkpoint", str(workdir / "ckpt")],
+               "tfidf": ["--baseline", "tfidf", "--corpus", str(data / "corpus.jsonl"),
+                         "--vocab", str(data / "vocab.tsv")],
+               "bos": ["--baseline", "bos", "--checkpoint", str(workdir / "ckpt"),
+                       "--corpus", str(data / "corpus.jsonl")]}[baseline]
+        assert main(["evaluate", "--task", "retrieval", "--queries", str(path), *run]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: {path}:2: 'relevant_entity_ids' names 'nope', which is not an "
+                f"entity\n") in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["evaluate-model", "evaluate-tfidf", "finetune"])
+    def test_vote_naming_no_entity_is_data_error(self, workdir, tmp_path, capsys, command):
+        data = workdir / "data"
+        lines = (data / "votes.jsonl").read_text().splitlines()
+        lines.append(json.dumps({"entity_id": "e9999", "tag": json.loads(lines[0])["tag"],
+                                 "votes": 3}))
+        path = tmp_path / "votes.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        run = {"evaluate-model": ["evaluate", "--task", "tags",
+                                  "--checkpoint", str(workdir / "ckpt")],
+               "evaluate-tfidf": ["evaluate", "--task", "tags", "--baseline", "tfidf",
+                                  "--corpus", str(data / "corpus.jsonl"),
+                                  "--vocab", str(data / "vocab.tsv")],
+               "finetune": ["finetune", "--checkpoint", str(workdir / "ckpt"), "--seed", "1",
+                            "--out-dir", str(tmp_path / "out")]}[command]
+        assert main([*run, "--votes", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: {path}:{len(lines)}: 'entity_id' names 'e9999', which is not an "
+                f"entity\n") in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_missing_votes_is_data_error(self, capsys):
         assert main(["evaluate", "--task", "tags"]) == 2

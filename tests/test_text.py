@@ -335,6 +335,23 @@ class TestFileFormats:
             reader(path)
         assert f"{path}:2:" in str(exc.value)
 
+    @pytest.mark.parametrize("reader, rows, problem", [
+        (read_votes, ['{"entity_id": "m1", "tag": "t", "votes": 1}',
+                      '{"entity_id": "m9", "tag": "t", "votes": 1}'],
+         ":2: 'entity_id' names 'm9', which is not an entity"),
+        (read_queries, ['{"query": "q", "relevant_entity_ids": []}',
+                        '{"query": "q", "relevant_entity_ids": ["m1", "nope", "m9"]}'],
+         ":2: 'relevant_entity_ids' names 'nope', which is not an entity"),
+    ], ids=["votes", "queries"])
+    def test_row_naming_no_entity_names_file_and_line(self, tmp_path, reader, rows,
+                                                      problem):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError) as exc:
+            reader(path, ["m1", "m2"])
+        assert str(exc.value) == f"{path}{problem}"
+        assert reader(path) == reader(path, ["m1", "m2", "m9", "nope"])
+
     @pytest.mark.parametrize("reader", [read_corpus, read_votes, read_queries,
                                         read_raw_reviews])
     @pytest.mark.parametrize("line, problem", [
