@@ -3,26 +3,25 @@
 Each op records its inputs and a backward closure; ``Tensor.backward()``
 walks the recorded graph in reverse topological order and accumulates
 gradients into the leaves. Elementwise ops follow numpy broadcasting (the
-backward pass sums gradients back down to each operand's shape). ``matmul``
-takes 2-D operands only; an activation with batch axes times a weight is a
-``linear``. ``matmul`` skips the gradient product of an operand that does
-not require a gradient, and ``mul``/``div`` skip the product for a constant
-operand. ``reduce_sum`` reduces fully or over axes it keeps, and
-``reduce_mean`` fully, so each backward is one broadcast of ``g``.
+backward pass sums gradients back down to each operand's shape);
+``linear``, ``mul`` and ``div`` skip the gradient product of an operand
+that requires no gradient.
+``reduce_sum`` reduces fully or over axes it keeps, so its backward is one
+broadcast of ``g``; ``Tensor.mean()`` is that sum divided by the count.
 
 Two fused nodes carry the transformer's dense work:
 
 ``linear(a, w, b)``
     ``a @ w + b`` as one GEMM over ``a`` flattened to ``[rows, features]``,
-    with the bias added in place. Its backward returns the input, weight
-    and bias gradients directly: the weight gradient is one product of the
-    flattened input's transpose with the flattened output gradient, and the
-    bias gradient one sum over all leading axes.
+    with the bias added in place; ``Tensor @`` is this node. Its backward
+    returns the input, weight and bias gradients directly: the weight
+    gradient is one product of the flattened input's transpose with the
+    flattened output gradient, and the bias gradient one sum over all
+    leading axes.
 ``attention(q, k, v, heads, bias)``
     Multi-head scaled dot-product attention over ``[batch, seq, hidden]``
-    projections, returning the context and the attention probabilities.
-    Its backward uses the softmax identity
-    ``dS = P * (dP - rowsum(dP * P)) * scale``.
+    projections, returning the context. Its backward uses the softmax
+    identity ``dS = P * (dP - rowsum(dP * P)) * scale``.
 
 Gradient ownership: a node's first gradient is stored without a copy when
 the backward closure that produced it hands over an array it has just
@@ -31,11 +30,10 @@ results, elementwise products and any reduction that summed qualify. The
 array must also be C-contiguous with the node's dtype and shape, the layout
 a copy would have: a gradient in another layout would change the rounding
 of the GEMMs that read it. Everything else is copied on arrival: the ``g``
-that ``add`` passes to both parents unchanged, the broadcast views of
-``reduce_sum`` and ``reduce_mean``, and the views of ``g`` that
-``reshape``, ``transpose`` and ``concat`` pass on. Later gradients are added
-in place, and an embedding gather scatter-adds straight into its table's
-gradient. No two nodes therefore ever share a gradient array.
+that ``add`` passes to both parents unchanged, the broadcast view of
+``reduce_sum``, and the views of ``g`` that ``reshape``, ``transpose`` and
+``concat`` pass on. Later gradients are added in place, and an embedding
+gather scatter-adds straight into its table's gradient. No two nodes therefore ever share a gradient array.
 
 Everything here is dtype-preserving: float32 graphs stay float32, float64
 graphs stay float64. Constants folded into a graph are cast to the dtype of
@@ -97,7 +95,7 @@ class Tensor:
         return mul(self, self._const(-1.0))
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        return linear(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -112,7 +110,7 @@ class Tensor:
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self):
-        return reduce_mean(self)
+        return reduce_sum(self) / self.data.size
 
     # -- backward pass ----------------------------------------------------
 
@@ -238,21 +236,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul takes 2-D operands; use linear for an activation "
-                         "with batch axes times a weight")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T, owned=True)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g, owned=True)
-
-    return _node(out_data, (a, b), backward)
-
-
 def linear(a: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``a @ w + b`` for an activation ``a`` of rank >= 2, a 2-D weight ``w``
     and an optional bias vector ``b``, run as one GEMM over ``a`` flattened
@@ -279,14 +262,13 @@ def linear(a: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              bias: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+              bias: np.ndarray | None = None) -> Tensor:
     """Multi-head scaled dot-product attention.
 
     ``q``, ``k`` and ``v`` are ``[B, L, H]`` projections, split into
     ``heads`` heads of width ``H / heads``; ``bias`` (broadcast to
     ``[B, heads, L, L]``, e.g. ``[B, 1, 1, L]`` with -1e9 at padding) is
-    added to the scaled scores. Returns the context ``[B, L, H]`` and the
-    probabilities ``[B, heads, L, L]``.
+    added to the scaled scores. Returns the context ``[B, L, H]``.
     """
     B, L, H = q.data.shape
     hd = H // heads
@@ -324,7 +306,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             _accum(k, merge(np.swapaxes(np.swapaxes(q4, -1, -2) @ ds, -1, -2)),
                    owned=True)
 
-    return _node(out_data, (q, k, v), backward), probs
+    return _node(out_data, (q, k, v), backward)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -422,17 +404,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def backward(g):
         _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _node(out_data, (a,), backward)
-
-
-def reduce_mean(a: Tensor) -> Tensor:
-    """Mean over every axis."""
-    out_data = a.data.mean()
-    count = a.data.size
-
-    def backward(g):
-        _accum(a, np.broadcast_to(np.asarray(g) / count, a.data.shape))
 
     return _node(out_data, (a,), backward)
 

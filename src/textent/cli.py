@@ -190,7 +190,7 @@ def _model_config_from_args(args, vocab: text.Vocabulary) -> ModelConfig:
 
 def cmd_pretrain(args) -> int:
     vocab = text.Vocabulary.load(args.vocab)
-    corpus = text.read_corpus(args.corpus)
+    corpus = text.read_corpus(args.corpus, vocab)
     model_cfg = _model_config_from_args(args, vocab)
     train_cfg = objectives.TrainingConfig(**_set_fields(objectives.TrainingConfig, args))
     out = Path(args.out_dir)  # the final checkpoint creates it

@@ -241,10 +241,10 @@ def encode_tensors(pt: Mapping[str, Tensor], config: ModelConfig,
         def _linear(inp, w, b):
             return autodiff.linear(inp, pt[pre + w], pt[pre + b])
 
-        ctx, _ = autodiff.attention(_linear(x, "attn_q_w", "attn_q_b"),
-                                    _linear(x, "attn_k_w", "attn_k_b"),
-                                    _linear(x, "attn_v_w", "attn_v_b"),
-                                    config.heads, bias)
+        ctx = autodiff.attention(_linear(x, "attn_q_w", "attn_q_b"),
+                                 _linear(x, "attn_k_w", "attn_k_b"),
+                                 _linear(x, "attn_v_w", "attn_v_b"),
+                                 config.heads, bias)
         if read is not None and i == config.layers - 1:
             ctx, x = flat_gather(ctx, *read), flat_gather(x, *read)
         attn_out = _linear(ctx, "attn_o_w", "attn_o_b")
@@ -343,13 +343,16 @@ def mlm_head_tensors(pt: Mapping[str, Tensor], h: Tensor,
     """
     t = autodiff.gelu(autodiff.linear(h, pt["mlm_dense_w"], pt["mlm_dense_b"]))
     t = autodiff.layer_norm(t, pt["mlm_ln_g"], pt["mlm_ln_b"])
-    if tokens is None:
-        return t @ pt["token_emb"].transpose(1, 0) + pt["mlm_out_b"]
-    return t @ pt["token_emb"][tokens].transpose(1, 0) + pt["mlm_out_b"][tokens]
+    w, b = pt["token_emb"], pt["mlm_out_b"]
+    if tokens is not None:
+        w, b = w[tokens], b[tokens]
+    return autodiff.linear(t, w.transpose(1, 0), b)
 
 
-def hybrid_head_tensors(pt: Mapping[str, Tensor], joined: Tensor) -> Tensor:
-    """Untied masked-token head over concat(hidden, entity embedding)."""
+def hybrid_head_tensors(pt: Mapping[str, Tensor], h: Tensor,
+                        entity_rows: np.ndarray) -> Tensor:
+    """Untied masked-token head over concat(h, entity_table[entity_rows])."""
+    joined = autodiff.concat([h, pt["entity_table"][entity_rows]], axis=-1)
     t = autodiff.gelu(autodiff.linear(joined, pt["hyb_dense_w"], pt["hyb_dense_b"]))
     t = autodiff.layer_norm(t, pt["hyb_ln_g"], pt["hyb_ln_b"])
     return autodiff.linear(t, pt["hyb_out_w"], pt["hyb_out_b"])

@@ -242,9 +242,8 @@ class EncodedTags:
         if self.readout == "head":
             (entity_index,) = entities  # the hybrid head reads one entity
             n_tokens = len(self.layout.token_ids)
-            ent = self.pt["entity_table"][np.full(n_tokens, entity_index)]
             logp = autodiff.log_softmax(
-                hybrid_head_tensors(self.pt, autodiff.concat([self.rows, ent], axis=-1)),
+                hybrid_head_tensors(self.pt, self.rows, np.full(n_tokens, entity_index)),
                 axis=-1)
             picked = logp[np.arange(n_tokens), self.layout.token_ids].reshape(n_tokens, 1)
             average = autodiff.constant(self.layout.average.astype(picked.dtype))

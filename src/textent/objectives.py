@@ -286,10 +286,8 @@ def hybrid_graph(pt: dict[str, Tensor], config: ModelConfig, batch: MaskedBatch,
     entity_term = float(total.data)
     mlm_term = 0.0
     if len(w_rows):
-        h = states[B:]
-        ent_vecs = pt["entity_table"][batch.entity_rows[w_rows]]
-        joined = autodiff.concat([h, ent_vecs], axis=-1)
-        ce = _masked_ce(hybrid_head_tensors(pt, joined), w_labels)
+        ce = _masked_ce(hybrid_head_tensors(pt, states[B:], batch.entity_rows[w_rows]),
+                        w_labels)
         mlm_term = float(ce.data)
         if train.loss_mix != 0.0:
             total = total + ce * train.loss_mix

@@ -418,9 +418,11 @@ def write_corpus(path: str | Path, examples: Iterable[CorpusExample]) -> None:
     write_jsonl(path, ({"entity_id": ex.entity_id, "tokens": ex.tokens} for ex in examples))
 
 
-def read_corpus(path: str | Path) -> list[CorpusExample]:
+def read_corpus(path: str | Path, vocab: Vocabulary | None = None) -> list[CorpusExample]:
     """Corpus rows; each needs a string entity_id and a non-empty list of token
-    ids >= 0 (whether an id fits a vocabulary is the consumer's check)."""
+    ids >= 0, and given ``vocab``, one of its entities and ids below its
+    ``word_size`` (without one, fitting a vocabulary is the consumer's check)."""
+    known = None if vocab is None else set(vocab.entity_ids)
     out = []
     for line_no, row in _numbered_jsonl(path):
         problem = _row_problem(row, entity_id=str, tokens=list[int])
@@ -429,6 +431,12 @@ def read_corpus(path: str | Path) -> list[CorpusExample]:
         elif problem is None and min(row["tokens"]) < 0:
             problem = (f"corpus row for {row['entity_id']!r} has a token id that is "
                        f"not a non-negative integer")
+        if problem is None and known is not None:
+            problem = _unknown_entity("entity_id", [row["entity_id"]], known)
+            if problem is None and max(row["tokens"]) >= vocab.word_size:
+                problem = (f"corpus row for {row['entity_id']!r} has token id "
+                           f"{max(row['tokens'])}, outside the word vocabulary "
+                           f"[0, {vocab.word_size})")
         if problem:
             raise DataError(f"{path}:{line_no}: {problem}")
         out.append(CorpusExample(row["entity_id"], row["tokens"]))

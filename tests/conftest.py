@@ -244,7 +244,7 @@ def softmax(a, axis=-1):
 
 def batched_matmul(a, b):
     """``a @ b`` over equal batch axes, with its own backward; the composed
-    attention's products (``autodiff.matmul`` takes 2-D operands only)."""
+    attention's products (``autodiff.linear`` takes a 2-D weight)."""
     out_data = a.data @ b.data
 
     def backward(g):
@@ -302,12 +302,14 @@ def encode_tensors_composed(pt, config, input_ids, segment_ids, pad_mask=None, r
 def mlm_head_composed(pt, h, tokens=None):
     t = autodiff.gelu(composed_linear(h, pt["mlm_dense_w"], pt["mlm_dense_b"]))
     t = autodiff.layer_norm(t, pt["mlm_ln_g"], pt["mlm_ln_b"])
-    if tokens is None:
-        return t @ pt["token_emb"].transpose(1, 0) + pt["mlm_out_b"]
-    return t @ pt["token_emb"][tokens].transpose(1, 0) + pt["mlm_out_b"][tokens]
+    w, b = pt["token_emb"], pt["mlm_out_b"]
+    if tokens is not None:
+        w, b = w[tokens], b[tokens]
+    return composed_linear(t, w.transpose(1, 0), b)
 
 
-def hybrid_head_composed(pt, joined):
+def hybrid_head_composed(pt, h, entity_rows):
+    joined = autodiff.concat([h, pt["entity_table"][entity_rows]], axis=-1)
     t = autodiff.gelu(composed_linear(joined, pt["hyb_dense_w"], pt["hyb_dense_b"]))
     t = autodiff.layer_norm(t, pt["hyb_ln_g"], pt["hyb_ln_b"])
     return composed_linear(t, pt["hyb_out_w"], pt["hyb_out_b"])

@@ -125,7 +125,7 @@ def test_attention_grads(padded):
     cot = _rand((B, L, H), 33)
 
     def fn(pt):
-        ctx, _ = autodiff.attention(pt["q"], pt["k"], pt["v"], heads, bias)
+        ctx = autodiff.attention(pt["q"], pt["k"], pt["v"], heads, bias)
         return (ctx * autodiff.constant(cot)).sum() + (ctx * ctx).mean()
 
     _check(fn, params)
@@ -139,21 +139,32 @@ def test_attention_grads_with_q_k_v_drawn_from_one_x(padded):
 
     def fn(pt):
         x = pt["x"]
-        ctx, _ = autodiff.attention(x, autodiff.linear(x, pt["w"]), x, heads, bias)
+        ctx = autodiff.attention(x, autodiff.linear(x, pt["w"]), x, heads, bias)
         return (ctx * ctx).sum()
 
     _check(fn, params)
 
 
 def test_attention_probabilities_and_padding():
+    """Read through the context alone: a padded key gets no weight, so its
+    value never reaches the context, and each query's weights sum to one, so
+    a value that is the same at every key comes back as itself."""
     B, L, H, heads = 2, 5, 6, 3
-    q, k, v = (autodiff.constant(_rand((B, L, H), 40 + i)) for i in range(3))
-    ctx, probs = autodiff.attention(q, k, v, heads, _pad_bias(B, L))
-    assert ctx.shape == (B, L, H) and probs.shape == (B, heads, L, L)
-    np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
-    assert np.all(probs[0, :, :, -2:] == 0.0) and np.all(probs[-1, :, :, -1] == 0.0)
-    assert not ctx.requires_grad
+    q, k, v = (_rand((B, L, H), 40 + i) for i in range(3))
+    bias = _pad_bias(B, L)
 
+    def ctx_of(values):
+        return autodiff.attention(autodiff.constant(q), autodiff.constant(k),
+                                  autodiff.constant(values), heads, bias)
+
+    ctx = ctx_of(v)
+    assert ctx.shape == (B, L, H) and not ctx.requires_grad
+    moved = v.copy()
+    moved[0, -2:] += 100.0  # exactly the keys _pad_bias masks
+    moved[-1, -1] -= 50.0
+    assert ctx_of(moved).data.tobytes() == ctx.data.tobytes()
+    flat = np.broadcast_to(_rand((B, 1, H), 43), (B, L, H)).copy()
+    np.testing.assert_allclose(ctx_of(flat).data, flat, rtol=1e-13)
 
 
 @pytest.mark.parametrize("B, L", [(96, 14), (50, 12), (12, 6), (1, 22)],
@@ -166,7 +177,7 @@ def test_attention_equals_the_softmax_over_numpys_row_max(B, L):
     q, k, v = (autodiff.constant(rng.normal(size=(B, L, H)).astype(np.float32))
                for _ in range(3))
     bias = _pad_bias(B, L, np.float32)
-    ctx, _ = autodiff.attention(q, k, v, heads, bias)
+    ctx = autodiff.attention(q, k, v, heads, bias)
     want = composed_attention(q, k, v, heads, bias)
     assert ctx.data.tobytes() == want.data.tobytes()
 
@@ -336,10 +347,19 @@ def test_dtype_preserved_through_graph():
 
 
 def test_matmul_rejects_vectors():
-    """And rank-3 operands: an activation with batch axes times a weight is ``linear``."""
-    w = autodiff.parameter(np.ones((3, 3)))
-    for shape in ((3,), (4, 5, 3)):
-        a = autodiff.parameter(np.ones(shape))
-        for left, right in ((a, w), (w, a)):
-            with pytest.raises(ValueError, match="linear"):
-                autodiff.matmul(left, right)
+    """``@`` is ``linear``: a vector operand is its ``ValueError``, and an
+    activation with batch axes times a weight is its product and gradients."""
+    w = autodiff.parameter(_rand((3, 3), 1))
+    vec = autodiff.parameter(np.ones(3))
+    for left, right in ((vec, w), (w, vec)):
+        with pytest.raises(ValueError, match="linear"):
+            left @ right
+    a = _rand((4, 5, 3), 2)
+    results = []
+    for product in (lambda x: x @ w, lambda x: autodiff.linear(x, w)):
+        x = autodiff.parameter(a)
+        w.grad = None
+        out = product(x)
+        (out * out).sum().backward()
+        results.append((out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()))
+    assert results[0] == results[1]

@@ -541,6 +541,29 @@ class TestExitCodes:
         assert row["entity_id"] in err and str(word_vocab) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda row, words: {**row, "entity_id": "zz_unknown"},
+         "'entity_id' names 'zz_unknown', which is not an entity"),
+        (lambda row, words: {**row, "tokens": row["tokens"] + [words]},
+         "outside the word vocabulary"),
+    ], ids=["unknown-entity", "id-past-words"])
+    def test_corpus_row_outside_the_vocabulary_is_data_error(self, workdir, tmp_path,
+                                                             capsys, edit, problem):
+        """Rejected when the corpus is read, whether or not a batch draws the row."""
+        vocab = workdir / "data" / "vocab.tsv"
+        lines = (workdir / "data" / "corpus.jsonl").read_text().splitlines()
+        lines[4] = json.dumps(edit(json.loads(lines[4]), Vocabulary.load(vocab).word_size))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+                     "--variant", "dual", "--seed", "11", "--steps", "2",
+                     "--out-dir", str(out)] + TRAIN_ARGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{corpus}:5: " in err and problem in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRunSettings:
     """A bad seed or learning rate is a data error that names it, before any

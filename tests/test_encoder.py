@@ -40,11 +40,11 @@ def toy_params(variant="dual", seed=123, dtype=np.float64, **overrides):
 
 
 def hybrid_logits(hidden_rows, entity_vec, params):
-    """The hybrid head on constants: concat(hidden row, entity vector) per row."""
-    joined = np.concatenate([hidden_rows, np.tile(entity_vec, (len(hidden_rows), 1))],
-                            axis=1)
-    pt = wrap_tensors(params)
-    return hybrid_head_tensors(pt, autodiff.constant(joined)).data
+    """The hybrid head on constants, every hidden row read with ``entity_vec``
+    (the one row of the entity table it is given)."""
+    pt = {**wrap_tensors(params), "entity_table": autodiff.constant(entity_vec[None])}
+    return hybrid_head_tensors(pt, autodiff.constant(hidden_rows),
+                               np.zeros(len(hidden_rows), dtype=np.int64)).data
 
 
 class TestEncode:
@@ -307,9 +307,9 @@ class TestHybridHead:
         probe = np.random.default_rng(2).normal(size=cfg.vocab_size)
 
         def fn(pt):
-            joined = autodiff.concat(
-                [autodiff.constant(h_row.reshape(1, -1)), pt["vec"]], axis=-1)
-            logits = hybrid_head_tensors(wrap_tensors(params), joined)
+            logits = hybrid_head_tensors({**wrap_tensors(params), "entity_table": pt["vec"]},
+                                         autodiff.constant(h_row.reshape(1, -1)),
+                                         np.zeros(1, dtype=np.int64))
             return (logits * autodiff.constant(probe)).sum()
 
         vec = {"vec": entity_matrix(params)[0].reshape(1, -1).astype(np.float64)}

@@ -352,6 +352,22 @@ class TestFileFormats:
         assert str(exc.value) == f"{path}{problem}"
         assert reader(path) == reader(path, ["m1", "m2", "m9", "nope"])
 
+    @pytest.mark.parametrize("row, problem", [
+        ('{"entity_id": "m9", "tokens": [5]}',
+         ":2: 'entity_id' names 'm9', which is not an entity"),
+        ('{"entity_id": "m2", "tokens": [5, 10, 6]}',
+         ":2: corpus row for 'm2' has token id 10, outside the word vocabulary [0, 10)"),
+    ], ids=["unknown-entity", "id-past-words"])
+    def test_corpus_row_outside_the_vocabulary_names_file_and_line(self, tmp_path, vocab,
+                                                                   row, problem):
+        vocab = extend_with_entities(vocab, ["m1", "m2"])  # words 0-9, entities 10-11
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"entity_id": "m1", "tokens": [1, 9, 2]}\n' + row + "\n")
+        with pytest.raises(DataError) as exc:
+            read_corpus(path, vocab)
+        assert str(exc.value) == f"{path}{problem}"
+        assert len(read_corpus(path)) == 2  # without a vocabulary the ids are not checked
+
     @pytest.mark.parametrize("reader", [read_corpus, read_votes, read_queries,
                                         read_raw_reviews])
     @pytest.mark.parametrize("line, problem", [

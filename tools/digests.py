@@ -7,9 +7,7 @@ Run it on two checkouts and diff the output: a change that claims to move
 no bits prints the same lines. It prints first
 
   world
-      the generated world: corpus entity ids and tokens, vocabulary tokens
-      and kinds, vote counts in insertion order and the tag list, queries,
-      attributes, distractors and sentences;
+      ``recipe.world_digest`` of the generated world;
 
 then the digests of ``recipe.run_jobs`` at training seed 11, ``--steps``
 pretrain steps and one fine-tuning epoch, the jobs that the acceptance
@@ -36,7 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from recipe import SRC, TRAIN_SEED, VARIANTS, run_jobs, sha, world_spec
+from recipe import SRC, TRAIN_SEED, VARIANTS, run_jobs, world_digest, world_spec
 
 
 def main(argv=None) -> int:
@@ -48,12 +46,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))  # spawned workers start with this sys.path
     from textent.synthetic import generate_synthetic
 
-    world = generate_synthetic(world_spec(args.tiny))
-    print("world  " + sha([(ex.entity_id, ex.tokens) for ex in world.corpus],
-                          world.vocab.id_to_token, world.vocab.kinds,
-                          list(world.votes.counts.items()), world.votes.tags,
-                          [(q.text, q.relevant) for q in world.queries],
-                          world.attributes, world.distractors, world.sentences))
+    print("world  " + world_digest(generate_synthetic(world_spec(args.tiny))))
     jobs = run_jobs(((v, TRAIN_SEED) for v in VARIANTS), args.tiny, args.steps, epochs=1)
     for job in jobs.values():
         for name, digest in job["digests"].items():

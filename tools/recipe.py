@@ -66,6 +66,17 @@ def params_sha(params) -> str:
                  for item in (name, params.tensors[name].tobytes())))
 
 
+def world_digest(world) -> str:
+    """One digest of a generated world: corpus entity ids and tokens, vocabulary
+    tokens and kinds, vote counts in insertion order and the tag list, queries,
+    attributes, distractors and sentences."""
+    return sha([(ex.entity_id, ex.tokens) for ex in world.corpus],
+               world.vocab.id_to_token, world.vocab.kinds,
+               list(world.votes.counts.items()), world.votes.tags,
+               [(q.text, q.relevant) for q in world.queries],
+               world.attributes, world.distractors, world.sentences)
+
+
 def world_spec(tiny: bool):
     """The seed-7 acceptance world, or a 12-entity one."""
     from textent.synthetic import SyntheticWorldSpec
